@@ -48,14 +48,7 @@ from .inference import (
     test_error_difference,
     two_sided_test,
 )
-from .kernels import (
-    ComparisonKernel,
-    KernelEvaluator,
-    eval_kappa_kernel,
-    eval_phi,
-    eval_phi0,
-    eval_theta2_kernel,
-)
+from .kernels import ComparisonKernel, KernelEvaluator
 from .learners import (
     centroid_learner,
     constant_learner,

@@ -1,7 +1,7 @@
 """Command line: run one comparison, or the exact self-check suite.
 
-Exit codes for `compare`: 0 success, 1 ingestion or configuration problem,
-2 sample too small for the variance estimate (n < 2g + 2), 3 degenerate
+Exit codes for `compare`: 0 success, 1 ingestion, configuration or usage
+problem, 2 sample too small for the variance estimate (n < 2g + 2), 3 degenerate
 variance (report still printed, no decision).
 """
 
@@ -52,7 +52,15 @@ def _default_threads() -> int:
 def _seed_value(raw: str) -> int:
     if raw == "random":
         return int.from_bytes(os.urandom(8), "big")
-    return int(raw)
+    try:
+        seed = int(raw)
+    except ValueError:
+        seed = None
+    if seed is None or not 0 <= seed < 2**64:
+        raise argparse.ArgumentTypeError(
+            f'expected an integer in 0..2^64 - 1 or "random", got {raw!r}'
+        )
+    return seed
 
 
 def _label_column(raw: str) -> int | str:
@@ -62,8 +70,15 @@ def _label_column(raw: str) -> int | str:
         return raw
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with EXIT_INPUT and one line, not argparse's usage and 2."""
+
+    def error(self, message):
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ucompare",
         description="Compare the error rates of two deterministic classifiers.",
     )
@@ -105,7 +120,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="label column as 0-based index or header name (default: last)",
     )
     cmp_parser.add_argument("--no-header", action="store_true")
-    cmp_parser.add_argument("--threads", type=int, default=None)
+    cmp_parser.add_argument(
+        "--threads",
+        type=int,
+        default=None,
+        help=f"recorded in the report for provenance only; evaluation is "
+        f"single-threaded (default: ${THREADS_ENV_VAR}, else 1)",
+    )
     cmp_parser.set_defaults(func=cmd_compare)
 
     check_parser = sub.add_parser("oracle-check", help="run the exact self-check suite")
@@ -182,13 +203,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
     )
     try:
         print("estimating the error difference ...", file=sys.stderr)
-        delta_hat = estimate_delta(kernel, data, config, threads=threads, evaluator=evaluator)
+        delta_hat = estimate_delta(kernel, data, config, evaluator=evaluator)
         print("estimating its variance ...", file=sys.stderr)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", RuntimeWarning)
-            variance = estimate_variance(
-                kernel, data, config, threads=threads, evaluator=evaluator
-            )
+            variance = estimate_variance(kernel, data, config, evaluator=evaluator)
         for warning in caught:
             print(f"warning: {warning.message}", file=sys.stderr)
     except (SampleTooSmallError, BudgetExceededError) as exc:

@@ -10,7 +10,8 @@ of the point estimate's variance, which exists whenever n >= 2g + 2.
 
 Determinism: every statistic derives its own stream from (seed, statistic
 key), the draw list is generated up front, and reductions use exact
-summation in draw order, so results are identical for any thread count.
+summation in draw order, so results are reproducible. Evaluation is
+single-threaded.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -110,19 +110,11 @@ def _combine(
     return math.fsum(terms)
 
 
-def _map_draws(fn: Callable, draws: Sequence, threads: int) -> list:
-    if threads <= 1 or len(draws) < 2:
-        return [fn(d) for d in draws]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, draws))
-
-
 def complete_u_statistic(
     kernel_eval: Callable[[Dataset, tuple[int, ...]], float],
     data: Dataset,
     m: int,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
-    threads: int = 1,
 ) -> float:
     """Average of a subset kernel over all size-m subsets of the rows."""
     if not 1 <= m <= data.n:
@@ -133,8 +125,8 @@ def complete_u_statistic(
             f"complete enumeration needs C({data.n},{m}) = {count} evaluations, "
             f"over the budget of {budget}"
         )
-    subsets = list(itertools.combinations(range(1, data.n + 1), m))
-    values = _map_draws(lambda s: kernel_eval(data, s), subsets, threads)
+    subsets = itertools.combinations(range(1, data.n + 1), m)
+    values = [kernel_eval(data, s) for s in subsets]
     return math.fsum(values) / count
 
 
@@ -144,7 +136,6 @@ def incomplete_u_statistic(
     m: int,
     draws: int,
     rng,
-    threads: int = 1,
 ) -> float:
     """Average of an ordered-subset kernel over independent uniform draws."""
     if not 1 <= m <= data.n:
@@ -152,7 +143,7 @@ def incomplete_u_statistic(
     if draws < 1:
         raise ValueError(f"draws must be >= 1, got {draws!r}")
     subsets = sample_ordered_subsets(data.n, m, draws, rng)
-    values = _map_draws(lambda s: kernel_eval(data, s), subsets, threads)
+    values = [kernel_eval(data, s) for s in subsets]
     return math.fsum(values) / draws
 
 
@@ -168,7 +159,6 @@ def estimate_delta(
     kernel: ComparisonKernel,
     data: Dataset,
     config: EstimatorConfig,
-    threads: int = 1,
     evaluator: KernelEvaluator | None = None,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> float:
@@ -185,12 +175,12 @@ def estimate_delta(
         evaluator = KernelEvaluator(kernel, data)
     if config.mode == COMPLETE:
         return complete_u_statistic(
-            lambda _data, members: evaluator.phi0(members), data, m, budget, threads
+            lambda _data, members: evaluator.phi0(members), data, m, budget
         )
     stream = make_stream(config.seed, _STREAM_DELTA)
     n = data.n
     draws = sample_ordered_subsets(n, kernel.g, config.n_delta, stream)
-    totals = _map_draws(evaluator.phi_complement_total, draws, threads)
+    totals = [evaluator.phi_complement_total(d) for d in draws]
     return math.fsum(totals) / (config.n_delta * (n - kernel.g))
 
 
@@ -221,7 +211,6 @@ def _estimate_product(
     config: EstimatorConfig,
     draws_budget: int,
     stream_key: tuple[int, ...],
-    threads: int,
     evaluator: KernelEvaluator | None,
     budget: int,
 ) -> float:
@@ -235,11 +224,10 @@ def _estimate_product(
             data,
             degree,
             budget,
-            threads,
         )
     stream = make_stream(config.seed, stream_key)
     draws = sample_ordered_subsets(data.n, degree, draws_budget, stream)
-    values = _map_draws(lambda t: evaluator.product(t, c), draws, threads)
+    values = [evaluator.product(t, c) for t in draws]
     return math.fsum(values) / draws_budget
 
 
@@ -248,7 +236,6 @@ def estimate_kappa_c(
     data: Dataset,
     c: int,
     config: EstimatorConfig,
-    threads: int = 1,
     evaluator: KernelEvaluator | None = None,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> float:
@@ -260,7 +247,7 @@ def estimate_kappa_c(
     if not 1 <= c <= kernel.m:
         raise ValueError(f"overlap c must lie in 1..{kernel.m}, got {c}")
     return _estimate_product(
-        kernel, data, c, config, config.n_kappa, (_STREAM_KAPPA, c), threads, evaluator, budget
+        kernel, data, c, config, config.n_kappa, (_STREAM_KAPPA, c), evaluator, budget
     )
 
 
@@ -268,7 +255,6 @@ def estimate_theta2(
     kernel: ComparisonKernel,
     data: Dataset,
     config: EstimatorConfig,
-    threads: int = 1,
     evaluator: KernelEvaluator | None = None,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> float:
@@ -278,7 +264,7 @@ def estimate_theta2(
     instead would not be.
     """
     return _estimate_product(
-        kernel, data, 0, config, config.n_theta2, _STREAM_THETA2, threads, evaluator, budget
+        kernel, data, 0, config, config.n_theta2, _STREAM_THETA2, evaluator, budget
     )
 
 
@@ -286,7 +272,6 @@ def estimate_variance(
     kernel: ComparisonKernel,
     data: Dataset,
     config: EstimatorConfig,
-    threads: int = 1,
     evaluator: KernelEvaluator | None = None,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
     nondegeneracy_tol: float = DEFAULT_NONDEGENERACY_TOL,
@@ -305,10 +290,10 @@ def estimate_variance(
     if evaluator is None:
         evaluator = KernelEvaluator(kernel, data)
     kappa_hats = tuple(
-        estimate_kappa_c(kernel, data, c, config, threads, evaluator, budget)
+        estimate_kappa_c(kernel, data, c, config, evaluator, budget)
         for c in range(1, m + 1)
     )
-    theta2_hat = estimate_theta2(kernel, data, config, threads, evaluator, budget)
+    theta2_hat = estimate_theta2(kernel, data, config, evaluator, budget)
     weights = hypergeometric_weights(data.n, m)
     v_hat = _combine(weights, kappa_hats, theta2_hat)
     degenerate = kappa_hats[0] - theta2_hat <= nondegeneracy_tol

@@ -33,7 +33,7 @@ from ucompare.estimators import (
     incomplete_u_statistic,
 )
 from ucompare.inference import normal_cdf
-from ucompare.kernels import ComparisonKernel, KernelEvaluator, eval_phi
+from ucompare.kernels import ComparisonKernel, KernelEvaluator
 from ucompare.learners import centroid_learner, constant_learner, knn_learner, stump_learner
 
 MASTER_SEED = 20260823
@@ -130,7 +130,8 @@ def test_criterion_04_smaller_variance_than_two_fold_cv():
     design = kfold_design(4, 2)
 
     def cv_estimate(ds):
-        return math.fsum(eval_phi(kernel, ds, split) for split in design.entries) / len(
+        ev = KernelEvaluator(kernel, ds)
+        return math.fsum(ev.phi(split.learn, split.test) for split in design.entries) / len(
             design.entries
         )
 
@@ -161,7 +162,8 @@ def test_criterion_05_leave_one_out_identity():
             config = EstimatorConfig(g=n - 1, mode="complete")
             complete = estimate_delta(kernel, data, config)
             folds = kfold_design(n, n - 1)
-            loo = math.fsum(eval_phi(kernel, data, split) for split in folds.entries) / n
+            ev = KernelEvaluator(kernel, data)
+            loo = math.fsum(ev.phi(split.learn, split.test) for split in folds.entries) / n
             worst = max(worst, abs(complete - loo))
     ok = worst <= 1e-12
     assert verdict(

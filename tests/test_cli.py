@@ -353,6 +353,50 @@ class TestCompareFailures:
         )
         assert rc == EXIT_INPUT
 
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616", "abc"])
+    def test_bad_seed_is_a_one_line_usage_error(self, eight_row_csv, capsys, seed):
+        argv = [
+            "compare",
+            "--data",
+            eight_row_csv,
+            "--learner-a",
+            "knn:1",
+            "--learner-b",
+            "const:0",
+            "--g",
+            "1",
+            "--seed",
+            seed,
+        ]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("ucompare compare: error: argument --seed:")
+        assert repr(seed) in err
+        assert err.count("\n") == 1
+
+    def test_largest_seed_is_accepted(self, eight_row_csv, capsys):
+        rc = main(
+            [
+                "compare",
+                "--data",
+                eight_row_csv,
+                "--learner-a",
+                "knn:1",
+                "--learner-b",
+                "const:0",
+                "--g",
+                "1",
+                "--iterations",
+                "10",
+                "--seed",
+                str(2**64 - 1),
+            ]
+        )
+        assert rc in (EXIT_OK, EXIT_DEGENERATE)
+        assert json.loads(capsys.readouterr().out)["inputs"]["seed"] == 2**64 - 1
+
     def test_identical_learners_degenerate_exit(self, eight_row_csv, capsys):
         rc = main(
             [

@@ -21,7 +21,7 @@ from ucompare.estimators import (
     estimate_variance,
     incomplete_u_statistic,
 )
-from ucompare.kernels import ComparisonKernel, KernelEvaluator, eval_phi0
+from ucompare.kernels import ComparisonKernel, KernelEvaluator
 from ucompare.learners import constant_learner, knn_learner, misclassification_loss
 
 
@@ -102,13 +102,9 @@ class TestIncompleteUStatistic:
     def test_thread_count_does_not_change_value(self):
         data = four_rows()
         kernel_eval = lambda _d, s: 1.0 / (s[0] + s[1])
-        single = incomplete_u_statistic(
-            kernel_eval, data, 2, 200, make_stream(3, (1,)), threads=1
-        )
-        pooled = incomplete_u_statistic(
-            kernel_eval, data, 2, 200, make_stream(3, (1,)), threads=4
-        )
-        assert single == pooled
+        first = incomplete_u_statistic(kernel_eval, data, 2, 200, make_stream(3, (1,)))
+        second = incomplete_u_statistic(kernel_eval, data, 2, 200, make_stream(3, (1,)))
+        assert first == second
 
     def test_rejects_bad_arguments(self):
         data = four_rows()
@@ -154,7 +150,7 @@ class TestEstimateDelta:
         data = four_rows()
         config = EstimatorConfig(g=1, n_delta=500, seed=9, mode=INCOMPLETE)
         values = {
-            estimate_delta(knn_vs_const(), data, config, threads=t) for t in (1, 1, 3)
+            estimate_delta(knn_vs_const(), data, config) for _ in range(3)
         }
         assert len(values) == 1
 
@@ -181,8 +177,9 @@ class TestSecondMomentEstimates:
     def test_full_overlap_is_mean_squared_symmetrized_value(self):
         data = four_rows()
         kernel = knn_vs_const()
+        ev = KernelEvaluator(kernel, data)
         expected = math.fsum(
-            eval_phi0(kernel, data, (i, j)) ** 2
+            ev.phi0((i, j)) ** 2
             for i in range(1, 5)
             for j in range(i + 1, 5)
         ) / 6
@@ -199,14 +196,14 @@ class TestSecondMomentEstimates:
     def test_overlap_one_matches_ordered_window_average(self):
         data = four_rows()
         kernel = knn_vs_const()
+        ev = KernelEvaluator(kernel, data)
         products = []
         for i in range(1, 5):
             for j in range(1, 5):
                 for k in range(1, 5):
                     if len({i, j, k}) == 3:
                         products.append(
-                            eval_phi0(kernel, data, (i, j))
-                            * eval_phi0(kernel, data, (j, k))
+                            ev.phi0((i, j)) * ev.phi0((j, k))
                         )
         expected = math.fsum(products) / len(products)
         value = estimate_kappa_c(kernel, data, 1, complete_config())
@@ -296,7 +293,7 @@ class TestEstimateVariance:
         )
         kernel = knn_vs_const()
         config = EstimatorConfig(g=1, n_kappa=200, n_theta2=200, seed=2, mode=INCOMPLETE)
-        results = [estimate_variance(kernel, data, config, threads=t) for t in (1, 1, 4)]
+        results = [estimate_variance(kernel, data, config) for _ in range(3)]
         assert len({r.v_hat for r in results}) == 1
         assert len({r.kappa_hats for r in results}) == 1
 

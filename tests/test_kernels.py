@@ -4,18 +4,9 @@ import math
 import pytest
 
 from ucompare.dataset import Dataset
-from ucompare.designs import OrderedSplit, UnorderedSubset
-from ucompare.kernels import (
-    ComparisonKernel,
-    KernelEvaluator,
-    eval_kappa_kernel,
-    eval_phi,
-    eval_phi0,
-    eval_theta2_kernel,
-    phi0_value,
-    phi_value,
-)
+from ucompare.kernels import ComparisonKernel, KernelEvaluator, phi0_value, phi_value
 from ucompare.learners import (
+    Learner,
     centroid_learner,
     constant_learner,
     knn_learner,
@@ -40,21 +31,21 @@ class TestPointwiseKernel:
         data = four_rows()
         kernel = ComparisonKernel(knn_learner(1), knn_learner(1), g=1)
         for learn, test in [((2,), 1), ((1,), 4), ((3,), 2)]:
-            assert eval_phi(kernel, data, OrderedSplit(learn=learn, test=test)) == 0.0
+            assert KernelEvaluator(kernel, data).phi(learn, test) == 0.0
 
     def test_constant_pair_is_one_minus_two_y(self):
         data = four_rows()
         kernel = ComparisonKernel(constant_learner(1), constant_learner(0), g=1)
         for test in range(1, 5):
             learn = (1,) if test != 1 else (2,)
-            value = eval_phi(kernel, data, OrderedSplit(learn=learn, test=test))
+            value = KernelEvaluator(kernel, data).phi(learn, test)
             assert value == 1 - 2 * data.observation(test).y
 
     def test_nearest_neighbour_beats_constant_here(self):
         # Learning row (1.0, 1), testing row (2.0, 1): the nearest neighbour
         # is right, the constant-0 rule is wrong, so the difference is -1.
         data = four_rows()
-        value = eval_phi(knn_vs_const(), data, OrderedSplit(learn=(2,), test=3))
+        value = KernelEvaluator(knn_vs_const(), data).phi((2,), 3)
         assert value == -1.0
 
     def test_wrong_learning_size_rejected(self):
@@ -71,10 +62,8 @@ class TestPointwiseKernel:
             g=1,
         )
         for learn, test in [((2,), 1), ((2,), 3), ((1,), 2)]:
-            split = OrderedSplit(learn=learn, test=test)
-            assert eval_phi(scaled, data, split) == 0.5 * eval_phi(
-                knn_vs_const(), data, split
-            )
+            value = KernelEvaluator(scaled, data).phi(learn, test)
+            assert value == 0.5 * KernelEvaluator(knn_vs_const(), data).phi(learn, test)
 
 
 class TestSymmetrizedKernel:
@@ -82,7 +71,7 @@ class TestSymmetrizedKernel:
         # Test position 1 gives +1, test position 2 gives 0 (both predictors
         # miss the label 1), so the symmetrized value is 1/2.
         data = four_rows()
-        assert eval_phi0(knn_vs_const(), data, UnorderedSubset(frozenset({1, 2}))) == 0.5
+        assert KernelEvaluator(knn_vs_const(), data).phi0((1, 2)) == 0.5
 
     def test_constant_pair_averages_labels(self):
         data = four_rows()
@@ -91,7 +80,8 @@ class TestSymmetrizedKernel:
             expected = math.fsum(
                 1 - 2 * data.observation(i).y for i in members
             ) / 3
-            assert eval_phi0(kernel, data, members) == pytest.approx(expected, abs=1e-15)
+            value = KernelEvaluator(kernel, data).phi0(members)
+            assert value == pytest.approx(expected, abs=1e-15)
 
     def test_rotation_average_equals_full_permutation_average(self):
         data = Dataset.from_arrays(
@@ -114,7 +104,7 @@ class TestSymmetrizedKernel:
         data = four_rows()
         for kernel in (knn_vs_const(1), knn_vs_const(2)):
             for members in itertools.combinations(range(1, 5), kernel.m):
-                assert abs(eval_phi0(kernel, data, members)) <= 1.0
+                assert abs(KernelEvaluator(kernel, data).phi0(members)) <= 1.0
 
     def test_wrong_subset_size_rejected(self):
         data = four_rows()
@@ -126,39 +116,39 @@ class TestProductKernels:
     def test_overlap_windows_multiply(self):
         data = four_rows()
         kernel = knn_vs_const(1)
-        first = eval_phi0(kernel, data, (1, 2))
-        second = eval_phi0(kernel, data, (2, 3))
-        assert eval_kappa_kernel(kernel, data, 1, (1, 2, 3)) == first * second
+        first = phi0_value(kernel, data.subset((1, 2)))
+        second = phi0_value(kernel, data.subset((2, 3)))
+        assert KernelEvaluator(kernel, data).product((1, 2, 3), 1) == first * second
 
     def test_full_overlap_squares(self):
         data = four_rows()
         kernel = knn_vs_const(1)
-        value = eval_phi0(kernel, data, (1, 2))
-        assert eval_kappa_kernel(kernel, data, 2, (1, 2)) == value * value
+        value = phi0_value(kernel, data.subset((1, 2)))
+        assert KernelEvaluator(kernel, data).product((1, 2), 2) == value * value
 
     def test_disjoint_windows_multiply(self):
         data = four_rows()
         kernel = knn_vs_const(1)
-        first = eval_phi0(kernel, data, (1, 2))
-        second = eval_phi0(kernel, data, (3, 4))
-        assert eval_theta2_kernel(kernel, data, (1, 2, 3, 4)) == first * second
+        first = phi0_value(kernel, data.subset((1, 2)))
+        second = phi0_value(kernel, data.subset((3, 4)))
+        assert KernelEvaluator(kernel, data).product((1, 2, 3, 4), 0) == first * second
 
     def test_overlap_out_of_range_rejected(self):
-        data = four_rows()
-        with pytest.raises(ValueError, match="overlap"):
-            eval_kappa_kernel(knn_vs_const(1), data, 3, (1, 2, 3))
-        with pytest.raises(ValueError, match="overlap"):
-            eval_kappa_kernel(knn_vs_const(1), data, 0, (1, 2, 3))
+        ev = KernelEvaluator(knn_vs_const(1), four_rows())
+        with pytest.raises(ValueError, match="overlap must lie"):
+            ev.product((1,), 3)
+        with pytest.raises(ValueError, match="overlap must lie"):
+            ev.product((1, 2, 3, 4, 5), -1)
 
     def test_wrong_index_count_rejected(self):
-        data = four_rows()
+        ev = KernelEvaluator(knn_vs_const(1), four_rows())
         with pytest.raises(ValueError, match="expected"):
-            eval_kappa_kernel(knn_vs_const(1), data, 1, (1, 2, 3, 4))
+            ev.product((1, 2, 3, 4), 1)
 
     def test_repeated_indices_rejected(self):
-        data = four_rows()
+        ev = KernelEvaluator(knn_vs_const(1), four_rows())
         with pytest.raises(ValueError, match="distinct"):
-            eval_theta2_kernel(knn_vs_const(1), data, (1, 2, 1, 3))
+            ev.product((1, 2, 1, 3), 0)
 
 
 class TestKernelEvaluator:
@@ -180,17 +170,51 @@ class TestKernelEvaluator:
         assert ev.phi((1,), 2) == ev.phi((4,), 2)
         assert ev.phi0((1, 3)) == ev.phi0((4, 3))
 
-    def test_batch_matches_single_evaluations(self):
+    def test_equal_valued_subsets_share_one_fit(self):
+        # Rows 1 and 4 carry observation A, rows 2 and 5 carry B, row 3 C.
         data = Dataset.from_arrays(
-            [(float(i), float(i % 3)) for i in range(12)],
-            [i % 2 for i in range(12)],
+            [(0.0,), (1.0,), (2.0,), (0.0,), (1.0,)],
+            [0, 1, 1, 0, 1],
         )
-        kernel = ComparisonKernel(knn_learner(3), stump_learner(), g=3)
+        fitted = []
+
+        class CountingLearner(Learner):
+            def fit(self, learning_set):
+                fitted.append(tuple(sorted((obs.x, obs.y) for obs in learning_set)))
+                return knn_learner(1).fit(learning_set)
+
+        kernel = ComparisonKernel(CountingLearner(), constant_learner(0), g=2)
         ev = KernelEvaluator(kernel, data)
-        learn = (1, 5, 9)
-        tests = [i for i in range(1, 13) if i not in learn]
-        batch = ev.phi_batch(learn, tests)
-        assert batch == [ev.phi(learn, t) for t in tests]
+        value = ev.phi0((1, 2, 3))  # fits {B,C}, {A,C}, {A,B}
+        assert len(fitted) == 3
+        assert ev.phi0((4, 5, 3)) == value  # {A,B,C} again: no fit
+        ev.phi((4, 2), 5)  # {A,B}
+        ev.phi_complement_total((5, 3))  # {B,C}
+        assert len(fitted) == 3
+        ev.phi_complement_total((1, 4))  # {A,A} is new
+        ev.phi0((1, 4, 2))  # learns on {A,B} and {A,A}, both fitted
+        assert len(fitted) == 4
+        ev.phi((2, 5), 1)  # {B,B} is new
+        assert len(fitted) == len(set(fitted)) == 5
+
+    def test_bad_indices_raise_index_error_after_caching(self):
+        data = Dataset.from_arrays(
+            [(0.0,), (1.0,), (2.0,), (0.0,)],
+            [0, 1, 1, 0],
+        )
+        ev = KernelEvaluator(knn_vs_const(1), data)
+        ev.phi0((1, 2))
+        ev.phi((1,), 2)
+        ev.phi_complement_total((1,))
+        for bad in (0, -1, data.n + 1):
+            with pytest.raises(IndexError):
+                ev.phi0((bad, 2))
+            with pytest.raises(IndexError):
+                ev.phi((bad,), 2)
+            with pytest.raises(IndexError):
+                ev.phi((2,), bad)
+            with pytest.raises(IndexError):
+                ev.phi_complement_total((bad,))
 
     def test_complement_total_matches_explicit_sum(self):
         data = Dataset.from_arrays(
@@ -202,7 +226,7 @@ class TestKernelEvaluator:
         for learn in [(1, 2), (9, 10), (4, 7)]:
             held_out = [i for i in range(1, 11) if i not in learn]
             assert ev.phi_complement_total(learn) == math.fsum(
-                ev.phi_batch(learn, held_out)
+                ev.phi(learn, t) for t in held_out
             )
 
     def test_complement_total_checks_learning_size(self):
