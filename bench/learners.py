@@ -1,0 +1,67 @@
+"""Micro-benchmark of the built-in learners: fit, predict and predict_batch.
+
+Each learner is timed on seeded Gaussian data at the (g, d) shapes of the
+perfbench workloads: a learning set of g rows with d features, and a query
+batch of the workload's n rows. Prints microseconds per call (best of five
+repeats). Standard library and numpy only; not part of the test suite.
+
+    PYTHONPATH=src python3 bench/learners.py
+"""
+
+from __future__ import annotations
+
+import timeit
+
+import numpy as np
+
+from ucompare.dataset import Observation
+from ucompare.learners import parse_learner
+
+LEARNERS = ("knn:3", "centroid", "stump", "const:0")
+# (g, d, n): learning-set size, features, query rows, as in the workloads
+# sampled-small-g and sampled-duplicates, sampled-large-g, complete-enum.
+SHAPES = ((5, 3, 60), (20, 5, 200), (2, 2, 17))
+REPEATS = 5
+SEED = 0
+SETS = 200  # learning sets per shape
+
+
+def learning_sets(rng, g, d, count):
+    """count seeded learning sets of g rows with d Gaussian features."""
+    sets = []
+    for _ in range(count):
+        xs = rng.normal(size=(g, d))
+        ys = rng.integers(0, 2, size=g)
+        sets.append([Observation(tuple(map(float, x)), int(y)) for x, y in zip(xs, ys)])
+    return sets
+
+
+def per_call_us(fn, calls):
+    """Best-of-REPEATS microseconds per call of fn, which makes `calls` calls."""
+    return min(timeit.repeat(fn, number=1, repeat=REPEATS)) / calls * 1e6
+
+
+def main() -> None:
+    print(f"{'learner':<10} {'g':>3} {'d':>2} {'n':>4} {'fit_us':>10} {'predict_us':>11} "
+          f"{'batch_us':>10}")
+    for g, d, n in SHAPES:
+        rng = np.random.default_rng([SEED, g, d])
+        sets = learning_sets(rng, g, d, SETS)
+        queries = [tuple(map(float, q)) for q in rng.normal(size=(n, d))]
+        for name in LEARNERS:
+            learner = parse_learner(name)
+            fit_us = per_call_us(lambda: [learner.fit(s) for s in sets], len(sets))
+            predictors = [learner.fit(s) for s in sets]
+            predict_us = per_call_us(
+                lambda: [p.predict(q) for p in predictors for q in queries],
+                len(predictors) * len(queries),
+            )
+            batch_us = per_call_us(
+                lambda: [p.predict_batch(queries) for p in predictors], len(predictors)
+            )
+            print(f"{name:<10} {g:>3} {d:>2} {n:>4} {fit_us:>10.2f} {predict_us:>11.2f} "
+                  f"{batch_us:>10.2f}")
+
+
+if __name__ == "__main__":
+    main()

@@ -38,15 +38,20 @@ EXIT_SAMPLE_TOO_SMALL = 2
 EXIT_DEGENERATE = 3
 
 
-def _default_threads() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw is None:
-        return 1
+def _thread_count(option: int | None) -> int:
+    """--threads if given, else $UCOMPARE_THREADS, else 1; ValueError below 1."""
+    if option is not None:
+        if option < 1:
+            raise ValueError(f"--threads must be an integer >= 1, got '{option}'")
+        return option
+    raw = os.environ.get(THREADS_ENV_VAR, "1")
     try:
         value = int(raw)
     except ValueError:
-        return 1
-    return max(value, 1)
+        value = 0  # not an integer: rejected below like any value under 1
+    if value < 1:
+        raise ValueError(f"{THREADS_ENV_VAR} must be an integer >= 1, got {raw!r}")
+    return value
 
 
 def _seed_value(raw: str) -> int:
@@ -188,8 +193,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
         print(f"error: --alpha must lie strictly between 0 and 1, got {args.alpha}", file=sys.stderr)
         return EXIT_INPUT
 
-    threads = args.threads if args.threads is not None else _default_threads()
-    threads = max(threads, 1)
+    try:
+        threads = _thread_count(args.threads)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+
     mode = COMPLETE if args.complete else INCOMPLETE
     config = EstimatorConfig(
         g=g, n_delta=draws, n_kappa=draws, n_theta2=draws, seed=args.seed, mode=mode
@@ -202,17 +211,25 @@ def cmd_compare(args: argparse.Namespace) -> int:
         file=sys.stderr,
     )
     try:
-        print("estimating the error difference ...", file=sys.stderr)
-        delta_hat = estimate_delta(kernel, data, config, evaluator=evaluator)
-        print("estimating its variance ...", file=sys.stderr)
+        # Recorded, so numpy's overflow warnings print as one line each and
+        # not at all when the run ends in an error.
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", RuntimeWarning)
+            print("estimating the error difference ...", file=sys.stderr)
+            delta_hat = estimate_delta(kernel, data, config, evaluator=evaluator)
+            print("estimating its variance ...", file=sys.stderr)
             variance = estimate_variance(kernel, data, config, evaluator=evaluator)
         for warning in caught:
             print(f"warning: {warning.message}", file=sys.stderr)
     except (SampleTooSmallError, BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SAMPLE_TOO_SMALL if isinstance(exc, SampleTooSmallError) else EXIT_INPUT
+    except OverflowError as exc:
+        print(
+            f"error: feature values too large for the learners' arithmetic: {exc}",
+            file=sys.stderr,
+        )
+        return EXIT_INPUT
 
     variance_mode = UNBIASED if args.variance_mode == "unbiased" else PLUGIN_ASYMPTOTIC
     result = test_error_difference(

@@ -109,7 +109,7 @@ class KernelEvaluator:
         }
         self._fits: dict[tuple, tuple[Predictor, Predictor]] = {}
         self._phi0s: dict[tuple, float] = {}
-        self._phi_rows: dict[tuple, tuple[tuple[float, ...], float]] = {}
+        self._phi_rows: dict[tuple, tuple[float, ...]] = {}
 
     def _key(self, indices: Iterable[int]) -> tuple[int, ...]:
         """Sorted class ids of the rows at indices; IndexError outside 1..n."""
@@ -162,18 +162,18 @@ class KernelEvaluator:
         """Sum of phi over every row outside learn_indices, fitting once.
 
         The per-row values depend only on the learning multiset, so they are
-        computed with one batch prediction pass per distinct multiset and the
-        complement sum is recovered by subtracting the learning rows. With
-        the 0-1 loss every term is an integer, so this equals the direct sum
-        over the held-out rows exactly.
+        computed with one batch prediction pass per distinct multiset. The
+        complement sum is the exactly rounded sum of those values with the
+        learning rows set to 0.0, so it equals the direct sum over the
+        held-out rows for any loss.
         """
         if len(learn_indices) != self.kernel.g:
             raise ValueError(
                 f"expected {self.kernel.g} learning indices, got {len(learn_indices)}"
             )
         key = self._key(learn_indices)
-        entry = self._phi_rows.get(key)
-        if entry is None:
+        rows = self._phi_rows.get(key)
+        if rows is None:
             pred_a, pred_b = self._fit_pair(key, learn_indices)
             loss = self.kernel.loss
             out_a = pred_a.predict_batch(self.data.feature_matrix)
@@ -182,9 +182,11 @@ class KernelEvaluator:
                 loss(a, obs.y) - loss(b, obs.y)
                 for a, b, obs in zip(out_a, out_b, self.data.observations)
             )
-            entry = _remember(self._phi_rows, key, (rows, math.fsum(rows)))
-        rows, total = entry
-        return total - math.fsum(rows[i - 1] for i in learn_indices)
+            _remember(self._phi_rows, key, rows)
+        held_out = list(rows)
+        for i in learn_indices:
+            held_out[i - 1] = 0.0
+        return math.fsum(held_out)
 
     def product(self, indices: Sequence[int], overlap: int) -> float:
         """Product of symmetrized values on the two standard windows.

@@ -397,6 +397,94 @@ class TestCompareFailures:
         assert rc in (EXIT_OK, EXIT_DEGENERATE)
         assert json.loads(capsys.readouterr().out)["inputs"]["seed"] == 2**64 - 1
 
+    def run_small(self, csv_path, *extra):
+        return main(
+            [
+                "compare",
+                "--data",
+                csv_path,
+                "--learner-a",
+                "knn:1",
+                "--learner-b",
+                "const:0",
+                "--g",
+                "1",
+                "--iterations",
+                "10",
+                *extra,
+            ]
+        )
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_bad_thread_option_exits_with_one_line(self, eight_row_csv, capsys, threads):
+        rc = self.run_small(eight_row_csv, "--threads", threads)
+        captured = capsys.readouterr()
+        assert rc == EXIT_INPUT
+        assert captured.out == ""
+        assert captured.err == f"error: --threads must be an integer >= 1, got {threads!r}\n"
+
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_bad_thread_env_var_exits_with_one_line(
+        self, eight_row_csv, capsys, monkeypatch, value
+    ):
+        monkeypatch.setenv(THREADS_ENV_VAR, value)
+        rc = self.run_small(eight_row_csv)
+        captured = capsys.readouterr()
+        assert rc == EXIT_INPUT
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {THREADS_ENV_VAR} must be an integer >= 1, got {value!r}\n"
+        )
+
+    HUGE_FEATURES = [-1e308, 1.7e308, -5e307, 1.2e308, 0.0, 1.6e308, -1e308, 1.5e308]
+
+    @pytest.mark.parametrize("learner", ["centroid", "knn:1"])
+    def test_overflowing_features_exit_with_one_line(self, tmp_path, capsys, learner):
+        csv_path = write_csv(tmp_path / "huge.csv", [0, 1, 1, 0, 1, 0, 0, 1], self.HUGE_FEATURES)
+        rc = main(
+            [
+                "compare",
+                "--data",
+                csv_path,
+                "--learner-a",
+                learner,
+                "--learner-b",
+                "stump",
+                "--g",
+                "2",
+                "--iterations",
+                "50",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert rc == EXIT_INPUT
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        last = captured.err.splitlines()[-1]
+        assert last.startswith("error: feature values too large")
+        assert "warning" not in captured.err
+
+    def test_stump_accepts_overflowing_midpoints(self, tmp_path, capsys):
+        # 1.5e308 + 1.6e308 overflows, so some candidate thresholds are inf.
+        csv_path = write_csv(tmp_path / "huge.csv", [0, 1, 1, 0, 1, 0, 0, 1], self.HUGE_FEATURES)
+        rc = main(
+            [
+                "compare",
+                "--data",
+                csv_path,
+                "--learner-a",
+                "stump",
+                "--learner-b",
+                "const:0",
+                "--g",
+                "2",
+                "--iterations",
+                "50",
+            ]
+        )
+        assert rc in (EXIT_OK, EXIT_DEGENERATE)
+        assert json.loads(capsys.readouterr().out)["inputs"]["n"] == 8
+
     def test_identical_learners_degenerate_exit(self, eight_row_csv, capsys):
         rc = main(
             [

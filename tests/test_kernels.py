@@ -229,6 +229,26 @@ class TestKernelEvaluator:
                 ev.phi(learn, t) for t in held_out
             )
 
+    def test_complement_total_is_exact_for_a_fractional_loss(self):
+        # With a 0.1x loss the row values are not integers, so subtracting
+        # the learning rows from the full total would round differently.
+        data = Dataset.from_arrays(
+            [(float((i * 5) % 12), float((i * 7) % 11)) for i in range(12)],
+            [(i * i + i // 3) % 2 for i in range(12)],
+        )
+        kernel = ComparisonKernel(
+            knn_learner(1),
+            stump_learner(),
+            loss=lambda p, y: 0.1 * misclassification_loss(p, y),
+            g=3,
+        )
+        ev = KernelEvaluator(kernel, data)
+        for learn in itertools.combinations(range(1, 13), 3):
+            held_out = [t for t in range(1, 13) if t not in learn]
+            assert ev.phi_complement_total(learn) == math.fsum(
+                ev.phi(learn, t) for t in held_out
+            ), learn
+
     def test_complement_total_checks_learning_size(self):
         ev = KernelEvaluator(knn_vs_const(1), four_rows())
         with pytest.raises(ValueError, match="learning"):

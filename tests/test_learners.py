@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -114,6 +115,134 @@ class TestStump:
         # tie in the majority -> 0
         pred = stump_learner().fit(obs((1.0, 1), (1.0, 0)))
         assert pred.predict((1.0,)) == 0
+
+
+def reference_stump_fit(learning_set):
+    """The quadratic-scan stump fit, kept as the reference for the fast one.
+
+    Returns the predictor's class name and fields.
+    """
+    if not learning_set:
+        raise ValueError("cannot fit on an empty learning set")
+    ordered = sorted(learning_set, key=lambda o: (o.x, o.y))
+
+    def majority(labels):
+        ones = sum(labels)
+        return 1 if ones > len(labels) - ones else 0
+
+    best = None
+    for j in range(len(ordered[0].x)):
+        values = sorted({o.x[j] for o in ordered})
+        for lo, hi in zip(values, values[1:]):
+            threshold = (lo + hi) / 2.0
+            left = [o.y for o in ordered if o.x[j] <= threshold]
+            right = [o.y for o in ordered if o.x[j] > threshold]
+            label_le = majority(left)
+            label_gt = majority(right)
+            errors = sum(1 for y in left if y != label_le) + sum(
+                1 for y in right if y != label_gt
+            )
+            candidate = (errors, j, threshold, label_le, label_gt)
+            if best is None or candidate[:3] < best[:3]:
+                best = candidate
+    if best is None:
+        return "_ConstantPredictor", {"label": majority([o.y for o in ordered])}
+    _, j, threshold, label_le, label_gt = best
+    return "_StumpPredictor", {
+        "feature": j,
+        "threshold": threshold,
+        "label_le": label_le,
+        "label_gt": label_gt,
+    }
+
+
+def fitted_fields(predictor):
+    return type(predictor).__name__, vars(predictor)
+
+
+def next_floats(value, count):
+    out = [value]
+    for _ in range(count - 1):
+        out.append(math.nextafter(out[-1], math.inf))
+    return out
+
+
+ONE, ONE_UP, ONE_UP2 = next_floats(1.0, 3)
+HUGE = 1.7e308
+
+
+class TestStumpMatchesQuadraticScan:
+    @pytest.mark.parametrize(
+        "learning",
+        [
+            # (1 + 1ulp + 1 + 2ulp) / 2 rounds up to hi, so the split at it
+            # puts every row left; (1 + 1 + 1ulp) / 2 rounds down to lo.
+            obs((ONE, 0), (ONE_UP, 0), (ONE_UP2, 1)),
+            obs((ONE, 1), (ONE_UP, 0), (ONE_UP2, 1), (ONE_UP2, 1)),
+            # lo + hi overflows to +inf or -inf.
+            obs((1.6e308, 0), (HUGE, 1)),
+            obs((-HUGE, 1), (-1.6e308, 0)),
+            obs((-HUGE, 0), (-1.6e308, 1), (0.0, 1), (1.6e308, 0), (HUGE, 1)),
+            obs(((HUGE, 0.0), 0), ((1.6e308, 1.0), 1), ((1.0, 2.0), 0)),
+            # Every feature constant: the overall majority, a tie giving 0.
+            obs(((1.0, 2.0), 1), ((1.0, 2.0), 1), ((1.0, 2.0), 0)),
+            obs(((1.0, 2.0), 1), ((1.0, 2.0), 0)),
+            # Equal error counts across features and thresholds.
+            obs(((0.0, 3.0), 0), ((1.0, 2.0), 1), ((2.0, 1.0), 0), ((3.0, 0.0), 1)),
+            obs(((0.0, 0.0), 1), ((1.0, 1.0), 0), ((1.0, 1.0), 1), ((2.0, 2.0), 0)),
+            # Single-class sets.
+            obs((0.0, 1), (1.0, 1), (2.0, 1)),
+            obs(((0.0, 5.0), 0), ((1.0, 4.0), 0)),
+            # g = 1.
+            obs((0.5, 1)),
+            obs(((0.5, -2.0, 3.0), 0)),
+        ],
+        ids=[
+            "round-up-to-hi",
+            "round-up-with-repeats",
+            "overflow-to-inf",
+            "overflow-to-minus-inf",
+            "overflow-both-ends",
+            "overflow-two-features",
+            "constant-features",
+            "constant-features-tie",
+            "equal-errors",
+            "equal-errors-repeats",
+            "single-class",
+            "single-class-two-features",
+            "g1",
+            "g1-three-features",
+        ],
+    )
+    def test_explicit_cases(self, learning):
+        assert fitted_fields(stump_learner().fit(learning)) == reference_stump_fit(learning)
+
+    def test_seeded_learning_sets(self):
+        rng = np.random.default_rng(20131)
+        huge = [-HUGE, -1.6e308, -1e308, 0.0, 1e308, 1.6e308, HUGE]
+
+        def column(kind, g):
+            if kind == 0:
+                return [float(v) for v in rng.normal(size=g)]
+            if kind == 1:
+                return [float(v) for v in rng.integers(0, 3, size=g)]
+            if kind == 2:
+                run = next_floats(float(rng.choice([-1.0, 0.5, 1.0, 3.0])), 4)
+                return [run[i] for i in rng.integers(0, 4, size=g)]
+            return [huge[i] for i in rng.integers(0, len(huge), size=g)]
+
+        for _ in range(3000):
+            g = int(rng.integers(1, 13))
+            d = int(rng.integers(1, 5))
+            columns = [column(int(rng.integers(0, 4)), g) for _ in range(d)]
+            if rng.random() < 0.2:
+                labels = [int(rng.integers(0, 2))] * g
+            else:
+                labels = [int(y) for y in rng.integers(0, 2, size=g)]
+            learning = [Observation(x, y) for x, y in zip(zip(*columns), labels)]
+            assert fitted_fields(stump_learner().fit(learning)) == reference_stump_fit(
+                learning
+            ), learning
 
 
 @pytest.mark.parametrize("learner", ALL_LEARNERS)
