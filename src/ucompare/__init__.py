@@ -14,17 +14,13 @@ __version__ = "0.1.0"
 from .dataset import Dataset, DatasetFormatError, Observation, load_csv, save_csv
 from .designs import (
     BudgetExceededError,
-    Design,
     HypergeometricWeights,
     OrderedSplit,
-    UnorderedSubset,
     approximation_error_bound,
     hypergeometric_weights,
     iterations_for_digits,
     kfold_design,
     make_stream,
-    maximal_design,
-    sample_ordered_subset,
     sample_ordered_subsets,
 )
 from .estimators import (

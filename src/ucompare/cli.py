@@ -211,8 +211,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
         file=sys.stderr,
     )
     try:
-        # Recorded, so numpy's overflow warnings print as one line each and
-        # not at all when the run ends in an error.
+        # Recorded, so runtime warnings (the degeneracy warning) print as one
+        # line each and not at all when the run ends in an error.
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", RuntimeWarning)
             print("estimating the error difference ...", file=sys.stderr)
@@ -237,38 +237,43 @@ def cmd_compare(args: argparse.Namespace) -> int:
     )
 
     report = ComparisonReport(
-        data_path=args.data,
-        learner_a=args.learner_a,
-        learner_b=args.learner_b,
-        g=g,
-        n=data.n,
-        n_delta=config.n_delta,
-        n_kappa=config.n_kappa,
-        n_theta2=config.n_theta2,
-        seed=args.seed,
-        mode=mode,
-        variance_mode=variance_mode,
-        alpha=args.alpha,
-        label_column=args.label_col,
-        has_header=not args.no_header,
-        threads=threads,
-        delta_hat=delta_hat,
-        kappa_hats=variance.kappa_hats,
-        theta2_hat=variance.theta2_hat,
-        v_hat=variance.v_hat,
-        v_hat_nonpositive=variance.nonpositive,
-        degeneracy_warning=variance.degeneracy_warning,
-        u_n=result.u_n,
-        variance_mode_used=result.mode_used,
-        statistic=result.statistic,
-        p_value=result.p_value,
-        ci_low=result.ci_low,
-        ci_high=result.ci_high,
-        reject=result.reject,
-        degenerate=result.degenerate,
-        version=__version__,
-        rng_algorithm=RNG_ALGORITHM,
-        wall_time_s=time.perf_counter() - started,
+        inputs={
+            "data": args.data,
+            "learner_a": args.learner_a,
+            "learner_b": args.learner_b,
+            "g": g,
+            "n": data.n,
+            "mode": mode,
+            "budgets": {"delta": draws, "kappa": draws, "theta2": draws},
+            "seed": args.seed,
+            "variance_mode": variance_mode,
+            "alpha": args.alpha,
+            "label_column": args.label_col,
+            "has_header": not args.no_header,
+            "threads": threads,
+        },
+        outputs={
+            "delta_hat": delta_hat,
+            "kappa_hats": list(variance.kappa_hats),
+            "theta2_hat": variance.theta2_hat,
+            "v_hat": variance.v_hat,
+            "v_hat_nonpositive": variance.nonpositive,
+            "degeneracy_warning": variance.degeneracy_warning,
+            "u_n": result.u_n,
+            "variance_mode_used": result.mode_used,
+            "statistic": result.statistic,
+            "p_value": result.p_value,
+            "ci_low": result.ci_low,
+            "ci_high": result.ci_high,
+            "reject": result.reject,
+            "degenerate": result.degenerate,
+        },
+        provenance={
+            "version": __version__,
+            "rng": RNG_ALGORITHM,
+            "threads": threads,
+            "wall_time_s": time.perf_counter() - started,
+        },
     )
     print(report.to_json())
     return EXIT_DEGENERATE if result.degenerate else EXIT_OK

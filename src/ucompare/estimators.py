@@ -95,10 +95,6 @@ class VarianceEstimate:
     nonpositive: bool
     degeneracy_warning: bool
 
-    def recompute_v_hat(self) -> float:
-        """Re-derive v_hat from the stored components (same expression)."""
-        return _combine(self.weights, self.kappa_hats, self.theta2_hat)
-
 
 def _combine(
     weights: HypergeometricWeights, kappa_hats: Sequence[float], theta2_hat: float

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence
 
@@ -38,6 +37,17 @@ def _canonical(learning_set: Sequence[Observation]) -> list[Observation]:
     if not learning_set:
         raise ValueError("cannot fit on an empty learning set")
     return sorted(learning_set, key=lambda obs: (obs.x, obs.y))
+
+
+def _check_finite(largest_squared_distance: float) -> None:
+    """Raise OverflowError when the largest squared distance is inf.
+
+    Distances past the float limit cannot be ranked. This covers a difference
+    that overflowed to inf and a sum of squares that overflowed; a Python
+    float square past the limit already raises by itself.
+    """
+    if largest_squared_distance == math.inf:
+        raise OverflowError("squared distance exceeds the float range")
 
 
 class Predictor:
@@ -100,6 +110,7 @@ class _KnnPredictor(Predictor):
         ]
         # Stable sort: equal distances resolve to the smaller canonical index.
         order = sorted(range(len(d2)), key=d2.__getitem__)
+        _check_finite(d2[order[-1]])
         votes = sum(self.labels[i] for i in order[: self.k])
         return 1 if 2 * votes > self.k else 0
 
@@ -109,7 +120,9 @@ class _KnnPredictor(Predictor):
         if self._features is None:
             self._features = np.array(self.points, dtype=float)
         q = np.asarray(xs, dtype=float)
-        d2 = ((q[:, None, :] - self._features[None, :, :]) ** 2).sum(axis=2)
+        with np.errstate(over="ignore"):
+            d2 = ((q[:, None, :] - self._features[None, :, :]) ** 2).sum(axis=2)
+        _check_finite(d2.max())
         order = np.argsort(d2, axis=1, kind="stable")[:, : self.k]
         votes = np.asarray(self.labels)[order].sum(axis=1)
         return [1 if 2 * v > self.k else 0 for v in votes]
@@ -147,30 +160,35 @@ class _CentroidPredictor(Predictor):
         x = tuple(x)
         d0 = sum((a - b) ** 2 for a, b in zip(x, self.centroid0))
         d1 = sum((a - b) ** 2 for a, b in zip(x, self.centroid1))
+        _check_finite(max(d0, d1))
         return 1 if d1 < d0 else 0
 
     def predict_batch(self, xs):
         if len(xs) < _BATCH_MIN:
             return [self.predict(x) for x in xs]
         q = np.asarray(xs, dtype=float)
-        d0 = ((q - np.array(self.centroid0)) ** 2).sum(axis=1)
-        d1 = ((q - np.array(self.centroid1)) ** 2).sum(axis=1)
+        with np.errstate(over="ignore"):
+            d0 = ((q - np.array(self.centroid0)) ** 2).sum(axis=1)
+            d1 = ((q - np.array(self.centroid1)) ** 2).sum(axis=1)
+        _check_finite(max(d0.max(), d1.max()))
         return [1 if b < a else 0 for a, b in zip(d0, d1)]
 
 
 class _CentroidLearner(Learner):
     def fit(self, learning_set):
-        ordered = _canonical(learning_set)
+        if not learning_set:
+            raise ValueError("cannot fit on an empty learning set")
         by_label: dict[int, list[Observation]] = {0: [], 1: []}
-        for obs in ordered:
+        for obs in learning_set:
             by_label[obs.y].append(obs)
         if not by_label[0] or not by_label[1]:
             present = 0 if by_label[0] else 1
             return _ConstantPredictor(present)
-        dim = len(ordered[0].x)
+        dim = len(learning_set[0].x)
         centroids = {}
         for label, group in by_label.items():
-            # fsum per coordinate: exact, so the mean is order-independent.
+            # fsum per coordinate is exactly rounded, so the mean does not
+            # depend on the order of the rows.
             centroids[label] = tuple(
                 math.fsum(obs.x[j] for obs in group) / len(group) for j in range(dim)
             )

@@ -3,12 +3,13 @@
 Everything here is exact up to float rounding: population quantities come
 from weighted sums over all ordered atom tuples, and estimator moments from
 weighted sums over all s^n datasets, both enumerated in mixed-radix order
-with running product weights. These brute-force values are what the
-estimators are checked against.
+with product weights. These brute-force values are what the estimators are
+checked against.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
@@ -70,8 +71,8 @@ def _iter_weighted_tuples(
 ) -> Iterator[tuple[tuple[Observation, ...], float]]:
     """All support^length ordered tuples with their product weights.
 
-    Mixed-radix (odometer) order; prefix products are reused so each step
-    only recomputes weights from the changed digit onward.
+    Mixed-radix order, last position fastest; each weight is the product of
+    the atom probabilities taken left to right.
     """
     s = dist.support_size
     total = s**length
@@ -82,21 +83,8 @@ def _iter_weighted_tuples(
         )
     obs = dist.observations
     probs = dist.probabilities
-    digits = [0] * length
-    prefix = [1.0] * (length + 1)
-    for k in range(length):
-        prefix[k + 1] = prefix[k] * probs[0]
-    while True:
-        yield tuple(obs[d] for d in digits), prefix[length]
-        pos = length - 1
-        while pos >= 0 and digits[pos] == s - 1:
-            digits[pos] = 0
-            pos -= 1
-        if pos < 0:
-            return
-        digits[pos] += 1
-        for k in range(pos, length):
-            prefix[k + 1] = prefix[k] * probs[digits[k]]
+    for digits in itertools.product(range(s), repeat=length):
+        yield tuple(obs[d] for d in digits), math.prod(probs[d] for d in digits)
 
 
 class _Phi0Memo:

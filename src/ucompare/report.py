@@ -54,85 +54,21 @@ def canonical_json(value) -> str:
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Everything one comparison run reports: inputs, results, provenance."""
+    """Everything one comparison run reports: inputs, results, provenance.
 
-    data_path: str
-    learner_a: str
-    learner_b: str
-    g: int
-    n: int
-    n_delta: int
-    n_kappa: int
-    n_theta2: int
-    seed: int
-    mode: str
-    variance_mode: str
-    alpha: float
-    label_column: int | str | None
-    has_header: bool
-    threads: int
-    delta_hat: float
-    kappa_hats: tuple[float, ...]
-    theta2_hat: float
-    v_hat: float
-    v_hat_nonpositive: bool
-    degeneracy_warning: bool
-    u_n: float
-    variance_mode_used: str
-    statistic: float | None
-    p_value: float | None
-    ci_low: float | None
-    ci_high: float | None
-    reject: bool | None
-    degenerate: bool
-    version: str
-    rng_algorithm: str
-    wall_time_s: float
+    Each part is a dict whose insertion order is the key order in the JSON.
+    """
+
+    inputs: dict
+    outputs: dict
+    provenance: dict
 
     def to_dict(self) -> dict:
         return {
             "schema": SCHEMA_VERSION,
-            "inputs": {
-                "data": self.data_path,
-                "learner_a": self.learner_a,
-                "learner_b": self.learner_b,
-                "g": self.g,
-                "n": self.n,
-                "mode": self.mode,
-                "budgets": {
-                    "delta": self.n_delta,
-                    "kappa": self.n_kappa,
-                    "theta2": self.n_theta2,
-                },
-                "seed": self.seed,
-                "variance_mode": self.variance_mode,
-                "alpha": self.alpha,
-                "label_column": self.label_column,
-                "has_header": self.has_header,
-                "threads": self.threads,
-            },
-            "outputs": {
-                "delta_hat": self.delta_hat,
-                "kappa_hats": list(self.kappa_hats),
-                "theta2_hat": self.theta2_hat,
-                "v_hat": self.v_hat,
-                "v_hat_nonpositive": self.v_hat_nonpositive,
-                "degeneracy_warning": self.degeneracy_warning,
-                "u_n": self.u_n,
-                "variance_mode_used": self.variance_mode_used,
-                "statistic": self.statistic,
-                "p_value": self.p_value,
-                "ci_low": self.ci_low,
-                "ci_high": self.ci_high,
-                "reject": self.reject,
-                "degenerate": self.degenerate,
-            },
-            "provenance": {
-                "version": self.version,
-                "rng": self.rng_algorithm,
-                "threads": self.threads,
-                "wall_time_s": self.wall_time_s,
-            },
+            "inputs": self.inputs,
+            "outputs": self.outputs,
+            "provenance": self.provenance,
         }
 
     def to_json(self) -> str:

@@ -131,8 +131,8 @@ def test_criterion_04_smaller_variance_than_two_fold_cv():
 
     def cv_estimate(ds):
         ev = KernelEvaluator(kernel, ds)
-        return math.fsum(ev.phi(split.learn, split.test) for split in design.entries) / len(
-            design.entries
+        return math.fsum(ev.phi(split.learn, split.test) for split in design) / len(
+            design
         )
 
     var_subsets = oracle.exact_estimator_variance(
@@ -163,7 +163,7 @@ def test_criterion_05_leave_one_out_identity():
             complete = estimate_delta(kernel, data, config)
             folds = kfold_design(n, n - 1)
             ev = KernelEvaluator(kernel, data)
-            loo = math.fsum(ev.phi(split.learn, split.test) for split in folds.entries) / n
+            loo = math.fsum(ev.phi(split.learn, split.test) for split in folds) / n
             worst = max(worst, abs(complete - loo))
     ok = worst <= 1e-12
     assert verdict(

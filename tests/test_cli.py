@@ -163,6 +163,91 @@ class TestCompareHappyPath:
         assert report["inputs"]["budgets"]["delta"] == 1000
 
 
+# A fixed 12-row, two-feature sample; its reports are pinned byte for byte.
+GOLDEN_CSV = """x1,x2,y
+0.31,1.7,0
+-0.42,0.05,0
+1.13,-0.66,1
+0.88,2.41,1
+-1.25,0.37,0
+0.07,-1.9,1
+2.2,0.93,1
+-0.61,-0.48,0
+1.46,1.12,1
+-0.17,0.74,0
+0.59,-0.21,0
+-0.93,1.58,1
+"""
+
+# The exact stdout of `compare` on GOLDEN_CSV, with the data path and the
+# wall time masked: key order, float format and every value.
+GOLDEN_REPORTS = {
+    "incomplete": (
+        '{"schema": 1, "inputs": {"data": "*", "learner_a": "knn:3", '
+        '"learner_b": "stump", "g": 3, "n": 12, "mode": "incomplete", '
+        '"budgets": {"delta": 200, "kappa": 200, "theta2": 200}, "seed": 5, '
+        '"variance_mode": "unbiased", "alpha": 0.10000000000000001, '
+        '"label_column": null, "has_header": true, "threads": 1}, '
+        '"outputs": {"delta_hat": 0.10111111111111111, '
+        '"kappa_hats": [-0.0050000000000000001, 0.018124999999999999, '
+        '0.035624999999999997, 0.20281250000000001], '
+        '"theta2_hat": -0.0028124999999999999, "v_hat": 0.0090164141414141412, '
+        '"v_hat_nonpositive": false, "degeneracy_warning": true, '
+        '"u_n": 0.0090164141414141412, "variance_mode_used": "unbiased", '
+        '"statistic": 1.0648341164377326, "p_value": 0.28695100347523417, '
+        '"ci_low": -0.055075636917383167, "ci_high": 0.2572978591396054, '
+        '"reject": false, "degenerate": false}, "provenance": {"version": "0.1.0", '
+        '"rng": "numpy-pcg64-seedseq", "threads": 1, "wall_time_s": 0}}'
+    ),
+    "complete": (
+        '{"schema": 1, "inputs": {"data": "*", "learner_a": "knn:3", '
+        '"learner_b": "stump", "g": 3, "n": 12, "mode": "complete", '
+        '"budgets": {"delta": 200, "kappa": 200, "theta2": 200}, "seed": 5, '
+        '"variance_mode": "unbiased", "alpha": 0.10000000000000001, '
+        '"label_column": null, "has_header": true, "threads": 1}, '
+        '"outputs": {"delta_hat": 0.09494949494949495, '
+        '"kappa_hats": [-0.0013347763347763349, 0.019298641173641176, '
+        '0.044089330808080814, 0.21818181818181817], '
+        '"theta2_hat": -0.0015656565656565658, "v_hat": 0.010581063156820733, '
+        '"v_hat_nonpositive": false, "degeneracy_warning": false, '
+        '"u_n": 0.010581063156820733, "variance_mode_used": "unbiased", '
+        '"statistic": 0.92305590661685966, "p_value": 0.35597807136903015, '
+        '"ci_low": -0.074247213532988521, "ci_high": 0.26414620343197842, '
+        '"reject": false, "degenerate": false}, "provenance": {"version": "0.1.0", '
+        '"rng": "numpy-pcg64-seedseq", "threads": 1, "wall_time_s": 0}}'
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(GOLDEN_REPORTS))
+def test_golden_report(tmp_path, capsys, mode):
+    csv_path = tmp_path / "golden.csv"
+    csv_path.write_text(GOLDEN_CSV)
+    argv = [
+        "compare",
+        "--data",
+        str(csv_path),
+        "--learner-a",
+        "knn:3",
+        "--learner-b",
+        "stump",
+        "--g",
+        "3",
+        "--iterations",
+        "200",
+        "--seed",
+        "5",
+        "--alpha",
+        "0.1",
+    ]
+    if mode == "complete":
+        argv.append("--complete")
+    assert main(argv) == EXIT_OK
+    out = capsys.readouterr().out
+    masked = mask_timing(re.sub(r'"data": "[^"]*"', '"data": "*"', out))
+    assert masked == GOLDEN_REPORTS[mode] + "\n"
+
+
 class TestCompareDeterminism:
     def run_once(self, csv_path, capsys, extra=()):
         rc = main(

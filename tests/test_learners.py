@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -94,6 +95,37 @@ class TestCentroid:
         pred = centroid_learner().fit(obs((0.0, 0), (1.0, 0), (4.0, 1)))
         xs = [(v,) for v in np.linspace(-2.0, 6.0, 17)]
         assert pred.predict_batch(xs) == [pred.predict(x) for x in xs]
+
+
+# Learning rows (x, y) and one query whose squared distance to a learning
+# row or centroid is not finite, for three reasons.
+OVERFLOWING_DISTANCES = {
+    # The difference 2e200 is finite; its square is not.
+    "square": (obs((0.0, 0), (1e200, 1)), (2e200,)),
+    # 1.7e308 - (-1.7e308) already overflows to inf.
+    "difference": (obs((-1.7e308, 0), (1.7e308, 1)), (1.7e308,)),
+    # Each squared coordinate difference is finite; their sum is not.
+    "sum": (obs(((0.0, 0.0), 0), ((1.2e154, 1.2e154), 1)), (1.2e154, 1.2e154)),
+}
+
+
+@pytest.mark.parametrize("learner", [knn_learner(1), centroid_learner()], ids=["knn1", "centroid"])
+@pytest.mark.parametrize("case", sorted(OVERFLOWING_DISTANCES))
+class TestDistanceOverflow:
+    def test_predict_raises(self, learner, case):
+        learning, query = OVERFLOWING_DISTANCES[case]
+        with pytest.raises(OverflowError):
+            learner.fit(learning).predict(query)
+
+    def test_predict_batch_raises(self, learner, case):
+        # Eight query rows, so the numpy path runs; warnings are errors, so
+        # the numpy overflow must not leak out as a RuntimeWarning either.
+        learning, query = OVERFLOWING_DISTANCES[case]
+        xs = [tuple(0.0 for _ in query)] * 7 + [query]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError):
+                learner.fit(learning).predict_batch(xs)
 
 
 class TestStump:
