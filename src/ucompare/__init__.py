@@ -55,8 +55,6 @@ from .learners import (
 )
 from .oracle import (
     DiscreteDistribution,
-    exact_estimator_expectation,
-    exact_estimator_variance,
     sample_dataset,
     true_delta,
     true_kappa_c,

@@ -15,12 +15,12 @@ import warnings
 
 from . import __version__
 from .dataset import DatasetFormatError, load_csv
-from .designs import RNG_ALGORITHM, BudgetExceededError, iterations_for_digits
+from .designs import MAX_DRAWS, RNG_ALGORITHM, BudgetExceededError, iterations_for_digits
 from .estimators import (
     COMPLETE,
     INCOMPLETE,
     EstimatorConfig,
-    SampleTooSmallError,
+    check_complete_budget,
     estimate_delta,
     estimate_variance,
 )
@@ -30,28 +30,10 @@ from .learners import parse_learner
 from .oracle import builtin_scenarios, run_checks
 from .report import ComparisonReport
 
-THREADS_ENV_VAR = "UCOMPARE_THREADS"
-
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_SAMPLE_TOO_SMALL = 2
 EXIT_DEGENERATE = 3
-
-
-def _thread_count(option: int | None) -> int:
-    """--threads if given, else $UCOMPARE_THREADS, else 1; ValueError below 1."""
-    if option is not None:
-        if option < 1:
-            raise ValueError(f"--threads must be an integer >= 1, got '{option}'")
-        return option
-    raw = os.environ.get(THREADS_ENV_VAR, "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0  # not an integer: rejected below like any value under 1
-    if value < 1:
-        raise ValueError(f"{THREADS_ENV_VAR} must be an integer >= 1, got {raw!r}")
-    return value
 
 
 def _seed_value(raw: str) -> int:
@@ -128,9 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_parser.add_argument(
         "--threads",
         type=int,
-        default=None,
-        help=f"recorded in the report for provenance only; evaluation is "
-        f"single-threaded (default: ${THREADS_ENV_VAR}, else 1)",
+        default=1,
+        help="recorded in the report for provenance only; evaluation is single-threaded",
     )
     cmp_parser.set_defaults(func=cmd_compare)
 
@@ -183,8 +164,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
             return EXIT_INPUT
     elif args.iterations is not None:
         draws = args.iterations
-        if draws < 1:
-            print(f"error: --iterations must be >= 1, got {draws}", file=sys.stderr)
+        if not 1 <= draws <= MAX_DRAWS:
+            print(f"error: --iterations must lie in 1..10^18, got {draws}", file=sys.stderr)
             return EXIT_INPUT
     else:
         draws = iterations_for_digits(2)
@@ -193,18 +174,20 @@ def cmd_compare(args: argparse.Namespace) -> int:
         print(f"error: --alpha must lie strictly between 0 and 1, got {args.alpha}", file=sys.stderr)
         return EXIT_INPUT
 
-    try:
-        threads = _thread_count(args.threads)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    threads = args.threads
+    if threads < 1:
+        print(f"error: --threads must be an integer >= 1, got '{threads}'", file=sys.stderr)
         return EXIT_INPUT
 
     mode = COMPLETE if args.complete else INCOMPLETE
-    config = EstimatorConfig(
-        g=g, n_delta=draws, n_kappa=draws, n_theta2=draws, seed=args.seed, mode=mode
-    )
-    kernel = ComparisonKernel(learner_a, learner_b, g=g)
-    evaluator = KernelEvaluator(kernel, data)
+    if mode == COMPLETE:
+        try:
+            check_complete_budget(data.n, g + 1)
+        except BudgetExceededError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
+    config = EstimatorConfig(draws=draws, seed=args.seed, mode=mode)
+    evaluator = KernelEvaluator(ComparisonKernel(learner_a, learner_b, g=g), data)
 
     print(
         f"n={data.n} g={g} mode={mode} budget={draws} seed={args.seed} threads={threads}",
@@ -216,17 +199,21 @@ def cmd_compare(args: argparse.Namespace) -> int:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", RuntimeWarning)
             print("estimating the error difference ...", file=sys.stderr)
-            delta_hat = estimate_delta(kernel, data, config, evaluator=evaluator)
+            delta_hat = estimate_delta(evaluator, config)
             print("estimating its variance ...", file=sys.stderr)
-            variance = estimate_variance(kernel, data, config, evaluator=evaluator)
+            variance = estimate_variance(evaluator, config)
         for warning in caught:
             print(f"warning: {warning.message}", file=sys.stderr)
-    except (SampleTooSmallError, BudgetExceededError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SAMPLE_TOO_SMALL if isinstance(exc, SampleTooSmallError) else EXIT_INPUT
     except OverflowError as exc:
         print(
             f"error: feature values too large for the learners' arithmetic: {exc}",
+            file=sys.stderr,
+        )
+        return EXIT_INPUT
+    except MemoryError:
+        print(
+            f"error: out of memory at a budget of {draws} draws per statistic; "
+            f"lower --digits or --iterations",
             file=sys.stderr,
         )
         return EXIT_INPUT

@@ -126,10 +126,19 @@ def load_csv(
     label_column selects the label by 0-based position (int) or header name
     (str); None means the last column. All other columns are features. Rows
     must agree on column count; any parse problem is reported with its line
-    and column.
+    and column. The file is read as UTF-8.
     """
-    with open(path, newline="") as handle:
-        rows = list(csv.reader(handle))
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            reader = csv.reader(handle)
+            try:
+                rows = list(reader)
+            except csv.Error as exc:
+                raise DatasetFormatError(f"line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DatasetFormatError(
+            f"not UTF-8 text: cannot decode byte 0x{exc.object[exc.start]:02x} ({exc.reason})"
+        ) from None
     rows = [(i + 1, row) for i, row in enumerate(rows) if row]
 
     header: list[str] | None = None

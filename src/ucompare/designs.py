@@ -17,6 +17,9 @@ import numpy as np
 #: Default cap on enumeration sizes (subsets or weighted datasets).
 DEFAULT_ENUMERATION_BUDGET = 10**6
 
+#: Largest per-statistic draw budget a run accepts.
+MAX_DRAWS = 10**18
+
 #: Identifier of the random stream algorithm, recorded in reports.
 RNG_ALGORITHM = "numpy-pcg64-seedseq"
 
@@ -146,7 +149,7 @@ def iterations_for_digits(digits: int) -> int:
     if digits < 1:
         raise ValueError(f"digits must be >= 1, got {digits!r}")
     exponent = 2 * digits + 1
-    if exponent > 18:
+    if 10**exponent > MAX_DRAWS:
         raise OverflowError(
             f"10^{exponent} draws exceeds the 64-bit budget range; "
             f"digits={digits} is not a practical request"

@@ -6,7 +6,9 @@ over independent uniform draws in incomplete mode, where the batched scheme
 fits once per draw and scores every held-out row. The same two modes produce
 the second-moment statistics (overlap products and the disjoint-window
 square) that combine with hypergeometric weights into an unbiased estimate
-of the point estimate's variance, which exists whenever n >= 2g + 2.
+of the point estimate's variance, which exists whenever n >= 2g + 2. Every
+estimator reads the kernel and the sample from one KernelEvaluator and its
+draw budget, seed and mode from one EstimatorConfig.
 
 Determinism: every statistic derives its own stream from (seed, statistic
 key), the draw list is generated up front, and reductions use exact
@@ -22,7 +24,6 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .dataset import Dataset
 from .designs import (
     DEFAULT_ENUMERATION_BUDGET,
     BudgetExceededError,
@@ -31,7 +32,7 @@ from .designs import (
     make_stream,
     sample_ordered_subsets,
 )
-from .kernels import ComparisonKernel, KernelEvaluator
+from .kernels import KernelEvaluator, SampleTooSmallError
 
 COMPLETE = "complete"
 INCOMPLETE = "incomplete"
@@ -42,35 +43,26 @@ _STREAM_DELTA = (0,)
 _STREAM_THETA2 = (1,)
 _STREAM_KAPPA = 2
 
-DEFAULT_NONDEGENERACY_TOL = 1e-8
-
-
-class SampleTooSmallError(ValueError):
-    """The sample cannot support the requested statistic's degree."""
+NONDEGENERACY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Budgets, seed, and mode shared by the estimation routines.
+    """Draw budget, seed, and mode shared by the estimation routines.
 
-    In incomplete mode the budgets count draws per statistic (for the point
-    estimate: learner fits). In complete mode they are ignored and full
-    enumeration is used instead.
+    In incomplete mode every statistic averages `draws` independent draws
+    from its own stream of the seed; for the point estimate a draw is one
+    learning set, fitted once. In complete mode draws and seed are ignored
+    and every subset is enumerated instead.
     """
 
-    g: int
-    n_delta: int = 100_000
-    n_kappa: int = 100_000
-    n_theta2: int = 100_000
+    draws: int = 100_000
     seed: int = 0
     mode: str = INCOMPLETE
 
     def __post_init__(self):
-        if self.g < 1:
-            raise ValueError(f"g must be >= 1, got {self.g!r}")
-        for name in ("n_delta", "n_kappa", "n_theta2"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+        if self.draws < 1:
+            raise ValueError(f"draws must be >= 1, got {self.draws!r}")
         if self.mode not in (COMPLETE, INCOMPLETE):
             raise ValueError(f"mode must be {COMPLETE!r} or {INCOMPLETE!r}, got {self.mode!r}")
         if not 0 <= self.seed < 2**64:
@@ -106,40 +98,50 @@ def _combine(
     return math.fsum(terms)
 
 
-def complete_u_statistic(
-    kernel_eval: Callable[[Dataset, tuple[int, ...]], float],
-    data: Dataset,
-    m: int,
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
-) -> float:
-    """Average of a subset kernel over all size-m subsets of the rows."""
-    if not 1 <= m <= data.n:
-        raise ValueError(f"need 1 <= m <= n, got m={m}, n={data.n}")
-    count = math.comb(data.n, m)
-    if count > budget:
+def _enumeration_size(n: int, k: int) -> int:
+    """C(n, k), or BudgetExceededError when that is over the enumeration budget."""
+    count = math.comb(n, k)
+    if count > DEFAULT_ENUMERATION_BUDGET:
         raise BudgetExceededError(
-            f"complete enumeration needs C({data.n},{m}) = {count} evaluations, "
-            f"over the budget of {budget}"
+            f"complete enumeration needs C({n},{k}) = {count} evaluations, "
+            f"over the budget of {DEFAULT_ENUMERATION_BUDGET}"
         )
-    subsets = itertools.combinations(range(1, data.n + 1), m)
-    values = [kernel_eval(data, s) for s in subsets]
+    return count
+
+
+def check_complete_budget(n: int, m: int) -> None:
+    """Raise BudgetExceededError unless complete mode can enumerate every statistic.
+
+    Checks the degrees in the order a comparison enumerates them (m for the
+    point estimate, 2m - c for the overlap products c = 1..m, 2m for the
+    disjoint-window square), so an oversized run stops before any kernel
+    evaluation and names the same degree it would have failed on.
+    """
+    for k in (m, *range(2 * m - 1, m - 1, -1), 2 * m):
+        _enumeration_size(n, k)
+
+
+def complete_u_statistic(
+    kernel_eval: Callable[[tuple[int, ...]], float], n: int, m: int
+) -> float:
+    """Average of a subset kernel over all size-m subsets of rows 1..n."""
+    if not 1 <= m <= n:
+        raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
+    count = _enumeration_size(n, m)
+    values = [kernel_eval(s) for s in itertools.combinations(range(1, n + 1), m)]
     return math.fsum(values) / count
 
 
 def incomplete_u_statistic(
-    kernel_eval: Callable[[Dataset, tuple[int, ...]], float],
-    data: Dataset,
-    m: int,
-    draws: int,
-    rng,
+    kernel_eval: Callable[[tuple[int, ...]], float], n: int, m: int, draws: int, rng
 ) -> float:
     """Average of an ordered-subset kernel over independent uniform draws."""
-    if not 1 <= m <= data.n:
-        raise ValueError(f"need 1 <= m <= n, got m={m}, n={data.n}")
+    if not 1 <= m <= n:
+        raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
     if draws < 1:
         raise ValueError(f"draws must be >= 1, got {draws!r}")
-    subsets = sample_ordered_subsets(data.n, m, draws, rng)
-    values = [kernel_eval(data, s) for s in subsets]
+    subsets = sample_ordered_subsets(n, m, draws, rng)
+    values = [kernel_eval(s) for s in subsets]
     return math.fsum(values) / draws
 
 
@@ -151,33 +153,21 @@ def _require_degree(n: int, degree: int, what: str) -> None:
         )
 
 
-def estimate_delta(
-    kernel: ComparisonKernel,
-    data: Dataset,
-    config: EstimatorConfig,
-    evaluator: KernelEvaluator | None = None,
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
-) -> float:
-    """Estimate the expected error-rate difference of the two algorithms.
+def estimate_delta(evaluator: KernelEvaluator, config: EstimatorConfig) -> float:
+    """Estimate the expected error-rate difference of the evaluator's two algorithms.
 
     Complete mode averages the symmetrized kernel over every size-(g+1)
-    subset. Incomplete mode draws n_delta uniform learning sets, fits both
-    learners once per draw, scores all n - g held-out rows, and averages
+    subset. Incomplete mode draws config.draws uniform learning sets, fits
+    both learners once per draw, scores all n - g held-out rows, and averages
     every contribution; the budget counts fits, not pointwise evaluations.
     """
-    m = kernel.m
-    _require_degree(data.n, m, "the point estimate")
-    if evaluator is None:
-        evaluator = KernelEvaluator(kernel, data)
+    g, n = evaluator.kernel.g, evaluator.data.n
     if config.mode == COMPLETE:
-        return complete_u_statistic(
-            lambda _data, members: evaluator.phi0(members), data, m, budget
-        )
+        return complete_u_statistic(evaluator.phi0, n, g + 1)
     stream = make_stream(config.seed, _STREAM_DELTA)
-    n = data.n
-    draws = sample_ordered_subsets(n, kernel.g, config.n_delta, stream)
+    draws = sample_ordered_subsets(n, g, config.draws, stream)
     totals = [evaluator.phi_complement_total(d) for d in draws]
-    return math.fsum(totals) / (config.n_delta * (n - kernel.g))
+    return math.fsum(totals) / (config.draws * (n - g))
 
 
 def _symmetrized_product(evaluator: KernelEvaluator, members: tuple[int, ...], c: int) -> float:
@@ -201,102 +191,69 @@ def _symmetrized_product(evaluator: KernelEvaluator, members: tuple[int, ...], c
 
 
 def _estimate_product(
-    kernel: ComparisonKernel,
-    data: Dataset,
-    c: int,
-    config: EstimatorConfig,
-    draws_budget: int,
-    stream_key: tuple[int, ...],
-    evaluator: KernelEvaluator | None,
-    budget: int,
+    evaluator: KernelEvaluator, c: int, config: EstimatorConfig, stream_key: tuple[int, ...]
 ) -> float:
-    degree = 2 * kernel.m - c
-    _require_degree(data.n, degree, f"the overlap-{c} product statistic")
-    if evaluator is None:
-        evaluator = KernelEvaluator(kernel, data)
+    n = evaluator.data.n
+    degree = 2 * evaluator.kernel.m - c
+    _require_degree(n, degree, f"the overlap-{c} product statistic")
     if config.mode == COMPLETE:
         return complete_u_statistic(
-            lambda _data, members: _symmetrized_product(evaluator, members, c),
-            data,
-            degree,
-            budget,
+            lambda members: _symmetrized_product(evaluator, members, c), n, degree
         )
-    stream = make_stream(config.seed, stream_key)
-    draws = sample_ordered_subsets(data.n, degree, draws_budget, stream)
-    values = [evaluator.product(t, c) for t in draws]
-    return math.fsum(values) / draws_budget
+    return incomplete_u_statistic(
+        lambda t: evaluator.product(t, c),
+        n,
+        degree,
+        config.draws,
+        make_stream(config.seed, stream_key),
+    )
 
 
-def estimate_kappa_c(
-    kernel: ComparisonKernel,
-    data: Dataset,
-    c: int,
-    config: EstimatorConfig,
-    evaluator: KernelEvaluator | None = None,
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
-) -> float:
+def estimate_kappa_c(evaluator: KernelEvaluator, c: int, config: EstimatorConfig) -> float:
     """Estimate the mean of the overlap-c product kernel (degree 2(g+1) - c).
 
     Each overlap order uses its own independent sub-stream of the seed, so
     the value matches what estimate_variance computes internally.
     """
-    if not 1 <= c <= kernel.m:
-        raise ValueError(f"overlap c must lie in 1..{kernel.m}, got {c}")
-    return _estimate_product(
-        kernel, data, c, config, config.n_kappa, (_STREAM_KAPPA, c), evaluator, budget
-    )
+    m = evaluator.kernel.m
+    if not 1 <= c <= m:
+        raise ValueError(f"overlap c must lie in 1..{m}, got {c}")
+    return _estimate_product(evaluator, c, config, (_STREAM_KAPPA, c))
 
 
-def estimate_theta2(
-    kernel: ComparisonKernel,
-    data: Dataset,
-    config: EstimatorConfig,
-    evaluator: KernelEvaluator | None = None,
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
-) -> float:
+def estimate_theta2(evaluator: KernelEvaluator, config: EstimatorConfig) -> float:
     """Estimate the squared mean via disjoint windows (degree 2g + 2).
 
     Disjoint windows keep the estimate unbiased; squaring the point estimate
     instead would not be.
     """
-    return _estimate_product(
-        kernel, data, 0, config, config.n_theta2, _STREAM_THETA2, evaluator, budget
-    )
+    return _estimate_product(evaluator, 0, config, _STREAM_THETA2)
 
 
-def estimate_variance(
-    kernel: ComparisonKernel,
-    data: Dataset,
-    config: EstimatorConfig,
-    evaluator: KernelEvaluator | None = None,
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
-    nondegeneracy_tol: float = DEFAULT_NONDEGENERACY_TOL,
-) -> VarianceEstimate:
+def estimate_variance(evaluator: KernelEvaluator, config: EstimatorConfig) -> VarianceEstimate:
     """Unbiased estimate of the point estimate's variance (n >= 2g + 2).
 
     Combines the overlap products and the disjoint-window square with the
     hypergeometric overlap weights. The result can be negative in small
-    samples; it is flagged, not clamped.
+    samples; it is flagged, not clamped. In complete mode every degree is
+    checked against the enumeration budget before any kernel evaluation.
     """
-    m = kernel.m
-    if data.n < 2 * m:
+    n, m = evaluator.data.n, evaluator.kernel.m
+    if n < 2 * m:
         raise SampleTooSmallError(
-            f"the unbiased variance estimate requires n >= 2g + 2 = {2 * m}; got n = {data.n}"
+            f"the unbiased variance estimate requires n >= 2g + 2 = {2 * m}; got n = {n}"
         )
-    if evaluator is None:
-        evaluator = KernelEvaluator(kernel, data)
-    kappa_hats = tuple(
-        estimate_kappa_c(kernel, data, c, config, evaluator, budget)
-        for c in range(1, m + 1)
-    )
-    theta2_hat = estimate_theta2(kernel, data, config, evaluator, budget)
-    weights = hypergeometric_weights(data.n, m)
+    if config.mode == COMPLETE:
+        check_complete_budget(n, m)
+    kappa_hats = tuple(estimate_kappa_c(evaluator, c, config) for c in range(1, m + 1))
+    theta2_hat = estimate_theta2(evaluator, config)
+    weights = hypergeometric_weights(n, m)
     v_hat = _combine(weights, kappa_hats, theta2_hat)
-    degenerate = kappa_hats[0] - theta2_hat <= nondegeneracy_tol
+    degenerate = kappa_hats[0] - theta2_hat <= NONDEGENERACY_TOL
     if degenerate:
         warnings.warn(
             f"kappa_hat_1 - theta2_hat = {kappa_hats[0] - theta2_hat:.3e} is within "
-            f"tolerance {nondegeneracy_tol:.1e} of zero; the comparison looks "
+            f"tolerance {NONDEGENERACY_TOL:.1e} of zero; the comparison looks "
             f"degenerate and studentized inference may be uninformative",
             RuntimeWarning,
             stacklevel=2,

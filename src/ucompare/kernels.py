@@ -23,6 +23,10 @@ from .learners import Learner, Predictor, misclassification_loss
 MEMO_SIZE = 100_000
 
 
+class SampleTooSmallError(ValueError):
+    """The sample cannot support the requested statistic's degree."""
+
+
 @dataclass(frozen=True)
 class ComparisonKernel:
     """The two algorithms under comparison, their loss, and the split size g."""
@@ -96,7 +100,7 @@ class KernelEvaluator:
 
     def __init__(self, kernel: ComparisonKernel, data: Dataset):
         if kernel.m > data.n:
-            raise ValueError(
+            raise SampleTooSmallError(
                 f"subset size g + 1 = {kernel.m} exceeds the sample size {data.n}"
             )
         self.kernel = kernel

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -18,8 +19,8 @@ import numpy as np
 
 from .dataset import Dataset, Observation
 from .designs import DEFAULT_ENUMERATION_BUDGET, BudgetExceededError, hypergeometric_weights
-from .estimators import EstimatorConfig, _combine, estimate_delta, estimate_variance
-from .kernels import ComparisonKernel, phi0_value, phi_value
+from .estimators import COMPLETE, EstimatorConfig, _combine, estimate_delta, estimate_variance
+from .kernels import ComparisonKernel, KernelEvaluator, phi0_value, phi_value
 
 
 @dataclass(frozen=True)
@@ -187,24 +188,6 @@ def exact_estimator_moments(
     return mean, math.fsum(square_terms) - mean * mean
 
 
-def exact_estimator_expectation(
-    dist: DiscreteDistribution,
-    n: int,
-    estimator: Callable[[Dataset], float],
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
-) -> float:
-    return exact_estimator_moments(dist, n, estimator, budget)[0]
-
-
-def exact_estimator_variance(
-    dist: DiscreteDistribution,
-    n: int,
-    estimator: Callable[[Dataset], float],
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
-) -> float:
-    return exact_estimator_moments(dist, n, estimator, budget)[1]
-
-
 # --- built-in self-check scenarios -----------------------------------------
 
 #: Three separable 1-D atoms with dyadic weights (so they sum to 1 exactly).
@@ -288,7 +271,7 @@ def run_checks(
     for sc in scenarios:
         kernel, dist, n = sc.kernel, sc.dist, sc.n
         m = kernel.m
-        config = EstimatorConfig(g=kernel.g, mode="complete")
+        config = EstimatorConfig(mode=COMPLETE)
         delta = true_delta(dist, kernel)
         results.append(
             CheckResult(
@@ -299,7 +282,7 @@ def run_checks(
             )
         )
         mean_delta_hat, var_delta_hat = exact_estimator_moments(
-            dist, n, lambda ds: estimate_delta(kernel, ds, config)
+            dist, n, lambda ds: estimate_delta(KernelEvaluator(kernel, ds), config)
         )
         results.append(
             CheckResult(sc.name, "point-estimate-unbiased", mean_delta_hat - delta, tolerance)
@@ -316,20 +299,19 @@ def run_checks(
         if biased_theta2:
 
             def v_hat(ds: Dataset) -> float:
-                ve = estimate_variance(kernel, ds, config)
-                biased = estimate_delta(kernel, ds, config) ** 2
+                evaluator = KernelEvaluator(kernel, ds)
+                ve = estimate_variance(evaluator, config)
+                biased = estimate_delta(evaluator, config) ** 2
                 return _combine(ve.weights, ve.kappa_hats, biased)
 
         else:
 
             def v_hat(ds: Dataset) -> float:
-                return estimate_variance(kernel, ds, config).v_hat
+                return estimate_variance(KernelEvaluator(kernel, ds), config).v_hat
 
-        import warnings as _warnings
-
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("ignore", RuntimeWarning)
-            mean_v_hat = exact_estimator_expectation(dist, n, v_hat)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            mean_v_hat, _ = exact_estimator_moments(dist, n, v_hat)
         results.append(
             CheckResult(
                 sc.name, "variance-estimate-unbiased", mean_v_hat - var_delta_hat, tolerance

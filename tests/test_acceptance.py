@@ -71,10 +71,10 @@ def ks_distance_to_normal(sample) -> float:
 def test_criterion_01_point_estimate_exactly_unbiased():
     started = time.perf_counter()
     kernel = small_scenario_kernel(g=1)
-    config = EstimatorConfig(g=1, mode="complete")
+    config = EstimatorConfig(mode="complete")
     truth = oracle.true_delta(oracle.MIXED_LABELS, kernel)
-    mean = oracle.exact_estimator_expectation(
-        oracle.MIXED_LABELS, 4, lambda ds: estimate_delta(kernel, ds, config)
+    mean, _ = oracle.exact_estimator_moments(
+        oracle.MIXED_LABELS, 4, lambda ds: estimate_delta(KernelEvaluator(kernel, ds), config)
     )
     elapsed = time.perf_counter() - started
     residual = abs(mean - truth)
@@ -88,14 +88,16 @@ def test_criterion_02_variance_estimate_exactly_unbiased_at_boundary():
     # n = 2g + 2 = 4 is the smallest sample where the estimate exists.
     started = time.perf_counter()
     kernel = small_scenario_kernel(g=1)
-    config = EstimatorConfig(g=1, mode="complete")
+    config = EstimatorConfig(mode="complete")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        mean_v = oracle.exact_estimator_expectation(
-            oracle.MIXED_LABELS, 4, lambda ds: estimate_variance(kernel, ds, config).v_hat
+        mean_v, _ = oracle.exact_estimator_moments(
+            oracle.MIXED_LABELS,
+            4,
+            lambda ds: estimate_variance(KernelEvaluator(kernel, ds), config).v_hat,
         )
-    var_delta = oracle.exact_estimator_variance(
-        oracle.MIXED_LABELS, 4, lambda ds: estimate_delta(kernel, ds, config)
+    _, var_delta = oracle.exact_estimator_moments(
+        oracle.MIXED_LABELS, 4, lambda ds: estimate_delta(KernelEvaluator(kernel, ds), config)
     )
     elapsed = time.perf_counter() - started
     residual = abs(mean_v - var_delta)
@@ -108,9 +110,9 @@ def test_criterion_02_variance_estimate_exactly_unbiased_at_boundary():
 @pytest.mark.parametrize("n,g", [(4, 1), (5, 1), (6, 2)])
 def test_criterion_03_variance_decomposition(n, g):
     kernel = small_scenario_kernel(g=g)
-    config = EstimatorConfig(g=g, mode="complete")
-    var_delta = oracle.exact_estimator_variance(
-        oracle.MIXED_LABELS, n, lambda ds: estimate_delta(kernel, ds, config)
+    config = EstimatorConfig(mode="complete")
+    _, var_delta = oracle.exact_estimator_moments(
+        oracle.MIXED_LABELS, n, lambda ds: estimate_delta(KernelEvaluator(kernel, ds), config)
     )
     m = g + 1
     weights = hypergeometric_weights(n, m)
@@ -126,7 +128,7 @@ def test_criterion_03_variance_decomposition(n, g):
 
 def test_criterion_04_smaller_variance_than_two_fold_cv():
     kernel = small_scenario_kernel(g=2)
-    config = EstimatorConfig(g=2, mode="complete")
+    config = EstimatorConfig(mode="complete")
     design = kfold_design(4, 2)
 
     def cv_estimate(ds):
@@ -135,10 +137,10 @@ def test_criterion_04_smaller_variance_than_two_fold_cv():
             design
         )
 
-    var_subsets = oracle.exact_estimator_variance(
-        oracle.MIXED_LABELS, 4, lambda ds: estimate_delta(kernel, ds, config)
+    _, var_subsets = oracle.exact_estimator_moments(
+        oracle.MIXED_LABELS, 4, lambda ds: estimate_delta(KernelEvaluator(kernel, ds), config)
     )
-    var_cv = oracle.exact_estimator_variance(oracle.MIXED_LABELS, 4, cv_estimate)
+    _, var_cv = oracle.exact_estimator_moments(oracle.MIXED_LABELS, 4, cv_estimate)
     margin = var_cv - var_subsets
     ok = margin > 1e-6
     assert verdict(
@@ -159,10 +161,9 @@ def test_criterion_05_leave_one_out_identity():
         data = uc.Dataset.from_arrays(features.tolist(), labels)
         for learner_a, learner_b in pairs:
             kernel = ComparisonKernel(learner_a, learner_b, g=n - 1)
-            config = EstimatorConfig(g=n - 1, mode="complete")
-            complete = estimate_delta(kernel, data, config)
-            folds = kfold_design(n, n - 1)
             ev = KernelEvaluator(kernel, data)
+            complete = estimate_delta(ev, EstimatorConfig(mode="complete"))
+            folds = kfold_design(n, n - 1)
             loo = math.fsum(ev.phi(split.learn, split.test) for split in folds) / n
             worst = max(worst, abs(complete - loo))
     ok = worst <= 1e-12
@@ -176,14 +177,14 @@ def test_criterion_06_concentration_of_random_subset_average():
     values = [0.13, 0.82, 0.47, 0.95, 0.21, 0.68, 0.04, 0.59]
     data = uc.Dataset.from_arrays([(v,) for v in values], [0, 1, 0, 1, 0, 1, 0, 1])
 
-    def toy(_data, subset):
+    def toy(subset):
         return (values[subset[0] - 1] - values[subset[1] - 1]) ** 2 / 2.0
 
-    complete = complete_u_statistic(toy, data, 2)
+    complete = complete_u_statistic(toy, data.n, 2)
     tolerance, draws, seeds = 0.1, 2000, 2000
     violations = 0
     for seed in range(seeds):
-        inc = incomplete_u_statistic(toy, data, 2, draws, make_stream(MASTER_SEED, (6, seed)))
+        inc = incomplete_u_statistic(toy, data.n, 2, draws, make_stream(MASTER_SEED, (6, seed)))
         if abs(inc - complete) >= tolerance:
             violations += 1
     frequency = violations / seeds
@@ -217,18 +218,12 @@ def test_criterion_08_studentized_statistic_is_asymptotically_normal():
     skipped = 0
     for rep in range(NORMALITY_REPLICATES):
         data = oracle.sample_dataset(dist, 60, make_stream(MASTER_SEED, (0, rep)))
-        config = EstimatorConfig(
-            g=2,
-            n_delta=NORMALITY_BUDGET,
-            n_kappa=NORMALITY_BUDGET,
-            n_theta2=NORMALITY_BUDGET,
-            seed=rep,
-        )
+        config = EstimatorConfig(draws=NORMALITY_BUDGET, seed=rep)
         evaluator = KernelEvaluator(kernel, data)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            delta_hat = estimate_delta(kernel, data, config, evaluator=evaluator)
-            variance = estimate_variance(kernel, data, config, evaluator=evaluator)
+            delta_hat = estimate_delta(evaluator, config)
+            variance = estimate_variance(evaluator, config)
         if variance.v_hat <= 0.0:
             skipped += 1
             continue
@@ -253,18 +248,12 @@ def test_criterion_09_test_level_under_label_symmetry():
     decided = 0
     for rep in range(LEVEL_REPLICATES):
         data = oracle.sample_dataset(dist, 100, make_stream(MASTER_SEED, (1, rep)))
-        config = EstimatorConfig(
-            g=2,
-            n_delta=LEVEL_BUDGET,
-            n_kappa=LEVEL_BUDGET,
-            n_theta2=LEVEL_BUDGET,
-            seed=rep,
-        )
+        config = EstimatorConfig(draws=LEVEL_BUDGET, seed=rep)
         evaluator = KernelEvaluator(kernel, data)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            delta_hat = estimate_delta(kernel, data, config, evaluator=evaluator)
-            variance = estimate_variance(kernel, data, config, evaluator=evaluator)
+            delta_hat = estimate_delta(evaluator, config)
+            variance = estimate_variance(evaluator, config)
         result = uc.test_error_difference(delta_hat, variance, n=100, g=2, alpha=0.05)
         if result.degenerate:
             continue

@@ -3,12 +3,12 @@ import re
 
 import pytest
 
+from ucompare import cli, estimators
 from ucompare.cli import (
     EXIT_DEGENERATE,
     EXIT_INPUT,
     EXIT_OK,
     EXIT_SAMPLE_TOO_SMALL,
-    THREADS_ENV_VAR,
     main,
 )
 from ucompare.designs import hypergeometric_weights
@@ -282,12 +282,6 @@ class TestCompareDeterminism:
         assert single["outputs"] == pooled["outputs"]
         assert pooled["inputs"]["threads"] == 4
 
-    def test_env_var_sets_default_threads(self, eight_row_csv, capsys, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV_VAR, "3")
-        report = json.loads(self.run_once(eight_row_csv, capsys))
-        assert report["inputs"]["threads"] == 3
-        assert report["provenance"]["threads"] == 3
-
     def test_random_seed_varies(self, eight_row_csv, capsys):
         seeds = set()
         for _ in range(2):
@@ -508,18 +502,84 @@ class TestCompareFailures:
         assert captured.out == ""
         assert captured.err == f"error: --threads must be an integer >= 1, got {threads!r}\n"
 
-    @pytest.mark.parametrize("value", ["abc", "0"])
-    def test_bad_thread_env_var_exits_with_one_line(
-        self, eight_row_csv, capsys, monkeypatch, value
-    ):
-        monkeypatch.setenv(THREADS_ENV_VAR, value)
+    def test_oversized_iterations_exit_with_one_line(self, eight_row_csv, capsys):
+        rc = self.run_small(eight_row_csv, "--iterations", str(10**20))
+        captured = capsys.readouterr()
+        assert rc == EXIT_INPUT
+        assert captured.out == ""
+        assert captured.err == f"error: --iterations must lie in 1..10^18, got {10**20}\n"
+
+    def test_out_of_memory_draws_exit_with_one_line(self, eight_row_csv, capsys, monkeypatch):
+        def sampler(n, k, count, rng):
+            raise MemoryError
+
+        monkeypatch.setattr(estimators, "sample_ordered_subsets", sampler)
         rc = self.run_small(eight_row_csv)
         captured = capsys.readouterr()
         assert rc == EXIT_INPUT
         assert captured.out == ""
-        assert captured.err == (
-            f"error: {THREADS_ENV_VAR} must be an integer >= 1, got {value!r}\n"
+        assert "Traceback" not in captured.err
+        errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+        assert errors == [
+            "error: out of memory at a budget of 10 draws per statistic; "
+            "lower --digits or --iterations"
+        ]
+
+    def test_complete_budget_checked_before_any_fit(self, tmp_path, capsys, monkeypatch):
+        # n = 30, g = 3: kappa_1 would need C(30,7) = 2,035,800 subsets.
+        csv_path = write_csv(tmp_path / "n30.csv", [i % 2 for i in range(30)])
+        fits = []
+
+        class Counted:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def fit(self, learning_set):
+                fits.append(learning_set)
+                return self.inner.fit(learning_set)
+
+        parse = cli.parse_learner
+        monkeypatch.setattr(cli, "parse_learner", lambda spec: Counted(parse(spec)))
+        rc = main(
+            [
+                "compare",
+                "--data",
+                csv_path,
+                "--learner-a",
+                "knn:1",
+                "--learner-b",
+                "const:0",
+                "--g",
+                "3",
+                "--complete",
+            ]
         )
+        captured = capsys.readouterr()
+        assert rc == EXIT_INPUT
+        assert fits == []
+        assert captured.out == ""
+        assert captured.err == (
+            "error: complete enumeration needs C(30,7) = 2035800 evaluations, "
+            "over the budget of 1000000\n"
+        )
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"x1,y\n0.5,0\n\xff,1\n", "error: not UTF-8 text"),
+            (b"x1,y\n0.5,0\n" + b"1" * 200_000 + b",1\n", "error: line 3: field larger"),
+        ],
+        ids=["non-utf8", "overlong-field"],
+    )
+    def test_bad_data_file_exits_with_one_line(self, tmp_path, capsys, content, message):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(content)
+        rc = self.run_small(str(path))
+        captured = capsys.readouterr()
+        assert rc == EXIT_INPUT
+        assert captured.out == ""
+        assert captured.err.startswith(message)
+        assert captured.err.count("\n") == 1
 
     HUGE_FEATURES = [-1e308, 1.7e308, -5e307, 1.2e308, 0.0, 1.6e308, -1e308, 1.5e308]
 

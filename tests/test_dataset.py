@@ -84,6 +84,19 @@ def test_empty_file_and_header_only(tmp_path):
         load_csv(write(tmp_path, "a,y\n", name="h.csv"))
 
 
+def test_non_utf8_file_rejected(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"a,y\n1,0\n\xff,1\n")
+    with pytest.raises(DatasetFormatError, match="not UTF-8 text: cannot decode byte 0xff"):
+        load_csv(path)
+
+
+def test_overlong_field_rejected(tmp_path):
+    path = write(tmp_path, "a,y\n1,0\n" + "1" * 200_000 + ",1\n")
+    with pytest.raises(DatasetFormatError, match="line 3: field larger than field limit"):
+        load_csv(path)
+
+
 def test_label_name_without_header(tmp_path):
     path = write(tmp_path, "1,0\n2,1\n")
     with pytest.raises(DatasetFormatError, match="header"):

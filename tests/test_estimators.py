@@ -36,14 +36,34 @@ def knn_vs_const(g: int = 1) -> ComparisonKernel:
     return ComparisonKernel(knn_learner(1), constant_learner(0), g=g)
 
 
-def complete_config(g: int = 1) -> EstimatorConfig:
-    return EstimatorConfig(g=g, mode=COMPLETE)
+def alternating_rows(n: int) -> Dataset:
+    return Dataset.from_arrays([(float(i),) for i in range(n)], [i % 2 for i in range(n)])
+
+
+def complete_config() -> EstimatorConfig:
+    return EstimatorConfig(mode=COMPLETE)
+
+
+def knn_vs_const_on(data: Dataset, g: int = 1) -> KernelEvaluator:
+    return KernelEvaluator(knn_vs_const(g), data)
+
+
+class FitCounter:
+    """Constant-0 learner that counts its fits."""
+
+    def __init__(self):
+        self.fits = 0
+        self.inner = constant_learner(0)
+
+    def fit(self, learning_set):
+        self.fits += 1
+        return self.inner.fit(learning_set)
 
 
 class TestCompleteUStatistic:
     def test_constant_kernel(self):
         data = four_rows()
-        assert complete_u_statistic(lambda _d, _s: 1.0, data, 2) == 1.0
+        assert complete_u_statistic(lambda _s: 1.0, data.n, 2) == 1.0
 
     def test_recovers_sample_variance(self):
         # The kernel (v_i - v_j)^2 / 2 averaged over all pairs is the usual
@@ -51,31 +71,33 @@ class TestCompleteUStatistic:
         values = {1: 1.0, 2: 3.0, 3: 7.0}
         data = Dataset.from_arrays([(v,) for v in values.values()], [0, 1, 0])
 
-        def kernel_eval(_data, members):
+        def kernel_eval(members):
             i, j = members
             return (values[i] - values[j]) ** 2 / 2.0
 
         mean = sum(values.values()) / 3
         sample_var = sum((v - mean) ** 2 for v in values.values()) / 2
-        assert complete_u_statistic(kernel_eval, data, 2) == pytest.approx(
+        assert complete_u_statistic(kernel_eval, data.n, 2) == pytest.approx(
             sample_var, abs=1e-12
         )
 
     def test_m_equals_n_single_subset(self):
         data = four_rows()
-        assert complete_u_statistic(lambda _d, s: float(len(s)), data, 4) == 4.0
+        assert complete_u_statistic(lambda s: float(len(s)), data.n, 4) == 4.0
 
     def test_budget_enforced(self):
-        data = four_rows()
-        with pytest.raises(BudgetExceededError, match="budget"):
-            complete_u_statistic(lambda _d, _s: 0.0, data, 2, budget=3)
+        # C(1415, 2) = 1,000,405 pairs is just over the enumeration budget.
+        seen = []
+        with pytest.raises(BudgetExceededError, match=r"C\(1415,2\) = 1000405 .* budget"):
+            complete_u_statistic(seen.append, 1415, 2)
+        assert seen == []
 
     def test_degree_out_of_range(self):
         data = four_rows()
         with pytest.raises(ValueError):
-            complete_u_statistic(lambda _d, _s: 0.0, data, 0)
+            complete_u_statistic(lambda _s: 0.0, data.n, 0)
         with pytest.raises(ValueError):
-            complete_u_statistic(lambda _d, _s: 0.0, data, 5)
+            complete_u_statistic(lambda _s: 0.0, data.n, 5)
 
 
 class TestIncompleteUStatistic:
@@ -84,55 +106,47 @@ class TestIncompleteUStatistic:
         expected_draw = sample_ordered_subsets(4, 2, 1, make_stream(7, (9,)))[0]
         seen = []
 
-        def kernel_eval(_data, members):
+        def kernel_eval(members):
             seen.append(members)
             return float(members[0])
 
-        value = incomplete_u_statistic(kernel_eval, data, 2, 1, make_stream(7, (9,)))
+        value = incomplete_u_statistic(kernel_eval, data.n, 2, 1, make_stream(7, (9,)))
         assert seen == [expected_draw]
         assert value == float(expected_draw[0])
 
     def test_same_stream_reproduces(self):
         data = four_rows()
-        kernel_eval = lambda _d, s: float(sum(s))
-        first = incomplete_u_statistic(kernel_eval, data, 2, 50, make_stream(3, (1,)))
-        second = incomplete_u_statistic(kernel_eval, data, 2, 50, make_stream(3, (1,)))
-        assert first == second
-
-    def test_thread_count_does_not_change_value(self):
-        data = four_rows()
-        kernel_eval = lambda _d, s: 1.0 / (s[0] + s[1])
-        first = incomplete_u_statistic(kernel_eval, data, 2, 200, make_stream(3, (1,)))
-        second = incomplete_u_statistic(kernel_eval, data, 2, 200, make_stream(3, (1,)))
+        kernel_eval = lambda s: float(sum(s))
+        first = incomplete_u_statistic(kernel_eval, data.n, 2, 50, make_stream(3, (1,)))
+        second = incomplete_u_statistic(kernel_eval, data.n, 2, 50, make_stream(3, (1,)))
         assert first == second
 
     def test_rejects_bad_arguments(self):
         data = four_rows()
         with pytest.raises(ValueError, match="draws"):
-            incomplete_u_statistic(lambda _d, _s: 0.0, data, 2, 0, make_stream(0))
+            incomplete_u_statistic(lambda _s: 0.0, data.n, 2, 0, make_stream(0))
         with pytest.raises(ValueError):
-            incomplete_u_statistic(lambda _d, _s: 0.0, data, 9, 1, make_stream(0))
+            incomplete_u_statistic(lambda _s: 0.0, data.n, 9, 1, make_stream(0))
 
 
 class TestEstimateDelta:
     def test_identical_learners_give_zero(self):
         data = four_rows()
         kernel = ComparisonKernel(knn_learner(1), knn_learner(1), g=1)
-        assert estimate_delta(kernel, data, complete_config()) == 0.0
+        assert estimate_delta(KernelEvaluator(kernel, data), complete_config()) == 0.0
 
     def test_constant_pair_complete_value(self):
         # With constant learners the symmetrized kernel averages 1 - 2y over
         # the subset, so the complete statistic is the mean of 1 - 2y.
         data = Dataset.from_arrays([(0.0,), (1.0,), (2.0,)], [1, 0, 0])
         kernel = ComparisonKernel(constant_learner(1), constant_learner(0), g=1)
-        assert estimate_delta(kernel, data, complete_config()) == pytest.approx(
-            1 / 3, abs=1e-15
-        )
+        value = estimate_delta(KernelEvaluator(kernel, data), complete_config())
+        assert value == pytest.approx(1 / 3, abs=1e-15)
 
     def test_four_row_complete_value(self):
         # Enumerated by hand: the six pairwise symmetrized values are
         # 1/2, 1/2, 0, -1, 1/2, 1/2, whose mean is 1/6.
-        value = estimate_delta(knn_vs_const(), four_rows(), complete_config())
+        value = estimate_delta(knn_vs_const_on(four_rows()), complete_config())
         assert value == pytest.approx(1 / 6, abs=1e-15)
 
     def test_incomplete_tracks_complete(self):
@@ -140,37 +154,42 @@ class TestEstimateDelta:
             [(float(i),) for i in range(10)],
             [0, 1, 1, 0, 1, 0, 0, 1, 1, 0],
         )
-        kernel = knn_vs_const()
-        complete = estimate_delta(kernel, data, complete_config())
-        config = EstimatorConfig(g=1, n_delta=20_000, seed=42, mode=INCOMPLETE)
-        incomplete = estimate_delta(kernel, data, config)
+        evaluator = knn_vs_const_on(data)
+        complete = estimate_delta(evaluator, complete_config())
+        config = EstimatorConfig(draws=20_000, seed=42, mode=INCOMPLETE)
+        incomplete = estimate_delta(evaluator, config)
         assert incomplete == pytest.approx(complete, abs=0.02)
 
-    def test_incomplete_deterministic_across_runs_and_threads(self):
+    def test_incomplete_deterministic_across_runs(self):
         data = four_rows()
-        config = EstimatorConfig(g=1, n_delta=500, seed=9, mode=INCOMPLETE)
-        values = {
-            estimate_delta(knn_vs_const(), data, config) for _ in range(3)
-        }
+        config = EstimatorConfig(draws=500, seed=9, mode=INCOMPLETE)
+        values = {estimate_delta(knn_vs_const_on(data), config) for _ in range(3)}
         assert len(values) == 1
 
     def test_shared_evaluator_matches_fresh(self):
         data = four_rows()
         kernel = knn_vs_const()
-        config = EstimatorConfig(g=1, n_delta=200, seed=5, mode=INCOMPLETE)
+        config = EstimatorConfig(draws=200, seed=5, mode=INCOMPLETE)
         shared = KernelEvaluator(kernel, data)
-        assert estimate_delta(kernel, data, config, evaluator=shared) == estimate_delta(
-            kernel, data, config
+        estimate_delta(shared, config)
+        assert estimate_delta(shared, config) == estimate_delta(
+            KernelEvaluator(kernel, data), config
         )
 
     def test_sample_too_small(self):
         data = Dataset.from_arrays([(0.0,), (1.0,)], [0, 1])
         with pytest.raises(SampleTooSmallError):
-            estimate_delta(knn_vs_const(2), data, complete_config(g=2))
+            estimate_delta(knn_vs_const_on(data, g=2), complete_config())
 
     def test_complete_budget_enforced(self):
-        with pytest.raises(BudgetExceededError):
-            estimate_delta(knn_vs_const(), four_rows(), complete_config(), budget=3)
+        # C(1415, 2) pairs is just over the enumeration budget: no learner
+        # may be fitted before the check fails.
+        counter = FitCounter()
+        kernel = ComparisonKernel(counter, constant_learner(1), g=1)
+        evaluator = KernelEvaluator(kernel, alternating_rows(1415))
+        with pytest.raises(BudgetExceededError, match=r"C\(1415,2\)"):
+            estimate_delta(evaluator, complete_config())
+        assert counter.fits == 0
 
 
 class TestSecondMomentEstimates:
@@ -183,14 +202,14 @@ class TestSecondMomentEstimates:
             for i in range(1, 5)
             for j in range(i + 1, 5)
         ) / 6
-        value = estimate_kappa_c(kernel, data, 2, complete_config())
+        value = estimate_kappa_c(ev, 2, complete_config())
         assert value == pytest.approx(expected, abs=1e-15)
         assert value == pytest.approx(1 / 3, abs=1e-15)
 
     def test_overlap_one_complete_value(self):
         # Hand enumeration over the four triples gives
         # (-1/4 + 1/12 + 1/12 - 1/4) / 4 = -1/12.
-        value = estimate_kappa_c(knn_vs_const(), four_rows(), 1, complete_config())
+        value = estimate_kappa_c(knn_vs_const_on(four_rows()), 1, complete_config())
         assert value == pytest.approx(-1 / 12, abs=1e-15)
 
     def test_overlap_one_matches_ordered_window_average(self):
@@ -206,31 +225,31 @@ class TestSecondMomentEstimates:
                             ev.phi0((i, j)) * ev.phi0((j, k))
                         )
         expected = math.fsum(products) / len(products)
-        value = estimate_kappa_c(kernel, data, 1, complete_config())
+        value = estimate_kappa_c(ev, 1, complete_config())
         assert value == pytest.approx(expected, abs=1e-15)
 
     def test_disjoint_window_complete_value(self):
         # The three pairings of {1,2,3,4} into two disjoint pairs give
         # products 1/4, 1/4, 0, so the mean is 1/6.
-        value = estimate_theta2(knn_vs_const(), four_rows(), complete_config())
+        value = estimate_theta2(knn_vs_const_on(four_rows()), complete_config())
         assert value == pytest.approx(1 / 6, abs=1e-15)
 
     def test_overlap_out_of_range(self):
         with pytest.raises(ValueError, match="overlap"):
-            estimate_kappa_c(knn_vs_const(), four_rows(), 0, complete_config())
+            estimate_kappa_c(knn_vs_const_on(four_rows()), 0, complete_config())
         with pytest.raises(ValueError, match="overlap"):
-            estimate_kappa_c(knn_vs_const(), four_rows(), 3, complete_config())
+            estimate_kappa_c(knn_vs_const_on(four_rows()), 3, complete_config())
 
     def test_disjoint_windows_need_enough_rows(self):
         data = Dataset.from_arrays([(0.0,), (1.0,), (2.0,)], [0, 1, 0])
         with pytest.raises(SampleTooSmallError, match=r"n >= 2g \+ 2"):
-            estimate_theta2(knn_vs_const(), data, complete_config())
+            estimate_theta2(knn_vs_const_on(data), complete_config())
 
 
 class TestEstimateVariance:
     def test_four_row_complete_components(self):
         with pytest.warns(RuntimeWarning, match="degenerate"):
-            result = estimate_variance(knn_vs_const(), four_rows(), complete_config())
+            result = estimate_variance(knn_vs_const_on(four_rows()), complete_config())
         assert result.kappa_hats[0] == pytest.approx(-1 / 12, abs=1e-15)
         assert result.kappa_hats[1] == pytest.approx(1 / 3, abs=1e-15)
         assert result.theta2_hat == pytest.approx(1 / 6, abs=1e-15)
@@ -242,10 +261,8 @@ class TestEstimateVariance:
 
     def test_combination_matches_manual_weights(self):
         data = four_rows()
-        kernel = knn_vs_const()
-        config = complete_config()
         with pytest.warns(RuntimeWarning, match="degenerate"):
-            result = estimate_variance(kernel, data, config)
+            result = estimate_variance(knn_vs_const_on(data), complete_config())
         weights = hypergeometric_weights(4, 2)
         manual = math.fsum(
             [
@@ -261,20 +278,19 @@ class TestEstimateVariance:
             [(float(i),) for i in range(8)],
             [0, 1, 0, 1, 1, 0, 1, 0],
         )
-        kernel = knn_vs_const()
-        config = EstimatorConfig(g=1, n_kappa=300, n_theta2=300, seed=17, mode=INCOMPLETE)
-        result = estimate_variance(kernel, data, config)
+        config = EstimatorConfig(draws=300, seed=17, mode=INCOMPLETE)
+        result = estimate_variance(knn_vs_const_on(data), config)
         assert result.kappa_hats == (
-            estimate_kappa_c(kernel, data, 1, config),
-            estimate_kappa_c(kernel, data, 2, config),
+            estimate_kappa_c(knn_vs_const_on(data), 1, config),
+            estimate_kappa_c(knn_vs_const_on(data), 2, config),
         )
-        assert result.theta2_hat == estimate_theta2(kernel, data, config)
+        assert result.theta2_hat == estimate_theta2(knn_vs_const_on(data), config)
 
     def test_identical_learners_degenerate_and_warn(self):
         data = four_rows()
         kernel = ComparisonKernel(knn_learner(1), knn_learner(1), g=1)
         with pytest.warns(RuntimeWarning, match="degenerate"):
-            result = estimate_variance(kernel, data, complete_config())
+            result = estimate_variance(KernelEvaluator(kernel, data), complete_config())
         assert result.v_hat == 0.0
         assert result.nonpositive
         assert result.degeneracy_warning
@@ -282,17 +298,25 @@ class TestEstimateVariance:
     def test_sample_too_small(self):
         data = four_rows()
         with pytest.raises(SampleTooSmallError, match="2g \\+ 2"):
-            estimate_variance(knn_vs_const(2), data, complete_config(g=2))
+            estimate_variance(knn_vs_const_on(data, g=2), complete_config())
+
+    def test_complete_budget_checked_before_any_fit(self):
+        # n = 30, g = 3: kappa_1 would need C(30,7) = 2,035,800 subsets.
+        counter = FitCounter()
+        kernel = ComparisonKernel(counter, constant_learner(1), g=3)
+        evaluator = KernelEvaluator(kernel, alternating_rows(30))
+        with pytest.raises(BudgetExceededError, match=r"C\(30,7\) = 2035800"):
+            estimate_variance(evaluator, complete_config())
+        assert counter.fits == 0
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_incomplete_deterministic_across_runs_and_threads(self):
+    def test_incomplete_deterministic_across_runs(self):
         data = Dataset.from_arrays(
             [(float(i),) for i in range(8)],
             [0, 1, 1, 0, 1, 0, 0, 1],
         )
-        kernel = knn_vs_const()
-        config = EstimatorConfig(g=1, n_kappa=200, n_theta2=200, seed=2, mode=INCOMPLETE)
-        results = [estimate_variance(kernel, data, config) for _ in range(3)]
+        config = EstimatorConfig(draws=200, seed=2, mode=INCOMPLETE)
+        results = [estimate_variance(knn_vs_const_on(data), config) for _ in range(3)]
         assert len({r.v_hat for r in results}) == 1
         assert len({r.kappa_hats for r in results}) == 1
 
@@ -306,11 +330,13 @@ class TestEstimateVariance:
             g=1,
         )
         config = complete_config()
-        base_delta = estimate_delta(knn_vs_const(), four_rows(), config)
-        scaled_delta = estimate_delta(scaled_kernel, data, config)
+        base = knn_vs_const_on(four_rows())
+        scaled = KernelEvaluator(scaled_kernel, data)
+        base_delta = estimate_delta(base, config)
+        scaled_delta = estimate_delta(scaled, config)
         with pytest.warns(RuntimeWarning, match="degenerate"):
-            base_var = estimate_variance(knn_vs_const(), four_rows(), config)
-            scaled_var = estimate_variance(scaled_kernel, data, config)
+            base_var = estimate_variance(base, config)
+            scaled_var = estimate_variance(scaled, config)
         assert scaled_delta == pytest.approx(lam * base_delta, abs=1e-15)
         assert scaled_var.v_hat == pytest.approx(lam**2 * base_var.v_hat, abs=1e-15)
         # The studentized ratio is invariant under rescaling the loss.
@@ -323,13 +349,13 @@ class TestEstimatorConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"g": 0},
-            {"g": 1, "n_delta": 0},
-            {"g": 1, "n_kappa": -1},
-            {"g": 1, "n_theta2": 0},
-            {"g": 1, "mode": "partial"},
-            {"g": 1, "seed": -1},
-            {"g": 1, "seed": 2**64},
+            {"draws": 0},
+            {"draws": -1},
+            {"draws": 0, "mode": COMPLETE},
+            {"mode": "partial"},
+            {"mode": "COMPLETE"},
+            {"seed": -1},
+            {"seed": 2**64},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -337,7 +363,7 @@ class TestEstimatorConfig:
             EstimatorConfig(**kwargs)
 
     def test_defaults(self):
-        config = EstimatorConfig(g=3)
+        config = EstimatorConfig()
         assert config.mode == INCOMPLETE
-        assert config.n_delta == config.n_kappa == config.n_theta2 == 100_000
+        assert config.draws == 100_000
         assert config.seed == 0

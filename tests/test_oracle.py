@@ -5,16 +5,14 @@ import pytest
 from ucompare.dataset import Observation
 from ucompare.designs import BudgetExceededError, make_stream
 from ucompare.estimators import EstimatorConfig, estimate_delta
-from ucompare.kernels import ComparisonKernel
+from ucompare.kernels import ComparisonKernel, KernelEvaluator
 from ucompare.learners import constant_learner, knn_learner
 from ucompare.oracle import (
     BALANCED_LABELS,
     MIXED_LABELS,
     DiscreteDistribution,
     builtin_scenarios,
-    exact_estimator_expectation,
     exact_estimator_moments,
-    exact_estimator_variance,
     expected_phi0,
     run_checks,
     sample_dataset,
@@ -154,8 +152,6 @@ class TestExactEstimatorMoments:
     def test_expectation_and_variance_split(self):
         statistic = lambda ds: float(ds.observations[0].y)
         mean, var = exact_estimator_moments(TWO_ATOMS, 2, statistic)
-        assert exact_estimator_expectation(TWO_ATOMS, 2, statistic) == mean
-        assert exact_estimator_variance(TWO_ATOMS, 2, statistic) == var
         assert mean == pytest.approx(0.4, abs=1e-15)
         assert var == pytest.approx(0.24, abs=1e-15)
 
@@ -176,11 +172,11 @@ class TestScaledVarianceApproachesLimit:
         limit = 4 * (
             true_kappa_c(TWO_ATOMS, kernel, 1) - true_theta2(TWO_ATOMS, kernel)
         )
-        config = EstimatorConfig(g=1, mode="complete")
+        config = EstimatorConfig(mode="complete")
         gaps = []
         for n in (4, 6, 8):
-            var = exact_estimator_variance(
-                TWO_ATOMS, n, lambda ds: estimate_delta(kernel, ds, config)
+            _, var = exact_estimator_moments(
+                TWO_ATOMS, n, lambda ds: estimate_delta(KernelEvaluator(kernel, ds), config)
             )
             gaps.append(n * var - limit)
         assert all(gap > 0 for gap in gaps)

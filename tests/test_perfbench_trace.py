@@ -25,7 +25,7 @@ from workloads import WORKLOADS, write_dataset  # noqa: E402
 def test_traced_run_matches_reference(tmp_path, name):
     data_path = str(tmp_path / f"{name}.csv")
     write_dataset(WORKLOADS[name], 0, data_path)
-    env = {k: v for k, v in os.environ.items() if k != "UCOMPARE_THREADS"}
+    env = dict(os.environ)
     env.update(
         PYTHONPATH=os.path.join(ROOT, "src"),
         PYTHONHASHSEED="0",
