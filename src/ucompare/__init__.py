@@ -15,11 +15,8 @@ from .dataset import Dataset, DatasetFormatError, Observation, load_csv, save_cs
 from .designs import (
     BudgetExceededError,
     HypergeometricWeights,
-    OrderedSplit,
-    approximation_error_bound,
     hypergeometric_weights,
     iterations_for_digits,
-    kfold_design,
     make_stream,
     sample_ordered_subsets,
 )
@@ -34,16 +31,7 @@ from .estimators import (
     estimate_variance,
     incomplete_u_statistic,
 )
-from .inference import (
-    DegenerateVarianceError,
-    TestResult,
-    confidence_interval,
-    normal_cdf,
-    normal_quantile,
-    studentize,
-    test_error_difference,
-    two_sided_test,
-)
+from .inference import TestResult, normal_cdf, normal_quantile, test_error_difference
 from .kernels import ComparisonKernel, KernelEvaluator
 from .learners import (
     centroid_learner,
@@ -53,10 +41,4 @@ from .learners import (
     parse_learner,
     stump_learner,
 )
-from .oracle import (
-    DiscreteDistribution,
-    sample_dataset,
-    true_delta,
-    true_kappa_c,
-    true_theta2,
-)
+from .oracle import DiscreteDistribution, true_delta, true_kappa_c, true_theta2

@@ -24,10 +24,10 @@ from .estimators import (
     estimate_delta,
     estimate_variance,
 )
-from .inference import PLUGIN_ASYMPTOTIC, UNBIASED, test_error_difference
+from .inference import ALPHA_FLOOR, PLUGIN_ASYMPTOTIC, UNBIASED, test_error_difference
 from .kernels import ComparisonKernel, KernelEvaluator
 from .learners import parse_learner
-from .oracle import builtin_scenarios, run_checks
+from .oracle import CHECK_TOLERANCE, builtin_scenarios, run_checks
 from .report import ComparisonReport
 
 EXIT_OK = 0
@@ -170,8 +170,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
     else:
         draws = iterations_for_digits(2)
 
-    if not 0.0 < args.alpha < 1.0:
-        print(f"error: --alpha must lie strictly between 0 and 1, got {args.alpha}", file=sys.stderr)
+    if not ALPHA_FLOOR < args.alpha < 1.0:
+        print(
+            f"error: --alpha must lie strictly between 2^-53 and 1, got {args.alpha}",
+            file=sys.stderr,
+        )
         return EXIT_INPUT
 
     threads = args.threads
@@ -219,9 +222,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         return EXIT_INPUT
 
     variance_mode = UNBIASED if args.variance_mode == "unbiased" else PLUGIN_ASYMPTOTIC
-    result = test_error_difference(
-        delta_hat, variance, n=data.n, g=g, alpha=args.alpha, mode=variance_mode
-    )
+    result = test_error_difference(delta_hat, variance, alpha=args.alpha, mode=variance_mode)
 
     report = ComparisonReport(
         inputs={
@@ -277,7 +278,7 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
         status = "PASS" if res.passed else "FAIL"
         print(
             f"{status} {res.scenario}/{res.name}: residual={res.residual:.3e} "
-            f"tol={res.tolerance:.1e}"
+            f"tol={CHECK_TOLERANCE:.1e}"
         )
         if not res.passed:
             failed += 1

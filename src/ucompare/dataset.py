@@ -126,10 +126,11 @@ def load_csv(
     label_column selects the label by 0-based position (int) or header name
     (str); None means the last column. All other columns are features. Rows
     must agree on column count; any parse problem is reported with its line
-    and column. The file is read as UTF-8.
+    and column. The file is read as UTF-8; a leading byte-order mark is
+    dropped.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
             reader = csv.reader(handle)
             try:
                 rows = list(reader)

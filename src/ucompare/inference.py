@@ -4,7 +4,7 @@ The point estimate divided by the square root of a variance estimate u(n) is
 asymptotically standard normal, so |estimate| >= sqrt(u(n)) * z_(1-alpha/2)
 rejects equality at level alpha. u(n) is either the unbiased variance
 estimate ("unbiased", the default) or the large-sample plug-in
-(g+1)^2 * (kappa_1_hat - theta2_hat) / n ("plugin_asymptotic").
+m^2 * (kappa_1_hat - theta2_hat) / n with m = g + 1 ("plugin_asymptotic").
 """
 
 from __future__ import annotations
@@ -17,16 +17,12 @@ from .estimators import VarianceEstimate
 UNBIASED = "unbiased"
 PLUGIN_ASYMPTOTIC = "plugin_asymptotic"
 
+#: alpha must exceed this: at or below 2^-53, 1 - alpha/2 rounds to 1.0 and
+#: the normal quantile of the interval is infinite.
+ALPHA_FLOOR = 2.0**-53
+
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-
-class DegenerateVarianceError(ValueError):
-    """Studentization was asked for with a nonpositive variance estimate."""
-
-    def __init__(self, u_n: float):
-        super().__init__(f"variance estimate u(n) = {u_n!r} is not positive")
-        self.u_n = u_n
 
 
 @dataclass(frozen=True)
@@ -122,48 +118,31 @@ def normal_quantile(p: float) -> float:
     return x - u / (1.0 + x * u / 2.0)
 
 
-def plugin_variance(kappa1_hat: float, theta2_hat: float, g: int, n: int) -> float:
-    """Large-sample variance approximation (g+1)^2 (kappa_1 - theta2) / n."""
-    if g < 1 or n < 1:
-        raise ValueError(f"need g >= 1 and n >= 1, got g={g}, n={n}")
-    return (g + 1) ** 2 * (kappa1_hat - theta2_hat) / n
-
-
-def studentize(delta_hat: float, u_n: float) -> float:
-    """delta_hat / sqrt(u_n); errors out rather than divide by a nonpositive
-    variance."""
-    if u_n <= 0.0:
-        raise DegenerateVarianceError(u_n)
-    return delta_hat / math.sqrt(u_n)
-
-
-def confidence_interval(delta_hat: float, u_n: float, alpha: float) -> tuple[float, float]:
-    """Two-sided level-(1 - alpha) interval delta_hat -+ sqrt(u_n) * z.
-
-    u_n = 0 is allowed and collapses to the point interval.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha!r}")
-    if u_n < 0.0:
-        raise DegenerateVarianceError(u_n)
-    half_width = math.sqrt(u_n) * normal_quantile(1.0 - alpha / 2.0)
-    return (delta_hat - half_width, delta_hat + half_width)
-
-
-def two_sided_test(
+def test_error_difference(
     delta_hat: float,
-    u_n: float,
+    variance: VarianceEstimate,
     alpha: float = 0.05,
-    mode_used: str = UNBIASED,
+    mode: str = UNBIASED,
 ) -> TestResult:
     """Two-sided test of a zero error difference at level alpha.
 
-    p = 2 * (1 - cdf(|statistic|)); rejection is non-strict (p <= alpha). A
-    nonpositive u_n yields a degenerate result carrying the raw value and no
-    decision.
+    n and m = g + 1 come from variance.weights. mode "unbiased" studentizes
+    with v_hat; if v_hat is nonpositive it falls back to the plug-in
+    m^2 (kappa_1_hat - theta2_hat) / n and records that in mode_used. mode
+    "plugin_asymptotic" uses the plug-in directly. p = 2 (1 - cdf(|statistic|))
+    and rejection is non-strict (p <= alpha). If the chosen variance is not
+    positive the result is degenerate: it carries that value and no decision.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha!r}")
+    if mode not in (UNBIASED, PLUGIN_ASYMPTOTIC):
+        raise ValueError(f"unknown variance mode {mode!r}")
+    if not ALPHA_FLOOR < alpha < 1.0:
+        raise ValueError(f"alpha must lie strictly between 2^-53 and 1, got {alpha!r}")
+    if mode == UNBIASED and variance.v_hat > 0.0:
+        mode_used, u_n = UNBIASED, variance.v_hat
+    else:
+        m, n = variance.weights.m, variance.weights.n
+        mode_used = PLUGIN_ASYMPTOTIC
+        u_n = m**2 * (variance.kappa_hats[0] - variance.theta2_hat) / n
     if u_n <= 0.0:
         return TestResult(
             delta_hat=delta_hat,
@@ -177,10 +156,10 @@ def two_sided_test(
             ci_high=None,
             reject=None,
         )
-    statistic = studentize(delta_hat, u_n)
+    statistic = delta_hat / math.sqrt(u_n)
     # erfc(|z|/sqrt(2)) equals 2*(1 - cdf(|z|)) without cancellation.
     p_value = math.erfc(abs(statistic) / _SQRT2)
-    ci_low, ci_high = confidence_interval(delta_hat, u_n, alpha)
+    half_width = math.sqrt(u_n) * normal_quantile(1.0 - alpha / 2.0)
     return TestResult(
         delta_hat=delta_hat,
         u_n=u_n,
@@ -189,32 +168,7 @@ def two_sided_test(
         degenerate=False,
         statistic=statistic,
         p_value=p_value,
-        ci_low=ci_low,
-        ci_high=ci_high,
+        ci_low=delta_hat - half_width,
+        ci_high=delta_hat + half_width,
         reject=p_value <= alpha,
     )
-
-
-def test_error_difference(
-    delta_hat: float,
-    variance: VarianceEstimate,
-    n: int,
-    g: int,
-    alpha: float = 0.05,
-    mode: str = UNBIASED,
-) -> TestResult:
-    """Full inference step with the documented fallback chain.
-
-    mode "unbiased" studentizes with v_hat; if v_hat is nonpositive it falls
-    back to the plug-in variance and records that in mode_used. mode
-    "plugin_asymptotic" uses the plug-in directly. If no positive variance
-    is available the result is degenerate.
-    """
-    if mode not in (UNBIASED, PLUGIN_ASYMPTOTIC):
-        raise ValueError(f"unknown variance mode {mode!r}")
-    plugin = plugin_variance(variance.kappa_hats[0], variance.theta2_hat, g, n)
-    if mode == UNBIASED:
-        if variance.v_hat > 0.0:
-            return two_sided_test(delta_hat, variance.v_hat, alpha, mode_used=UNBIASED)
-        return two_sided_test(delta_hat, plugin, alpha, mode_used=PLUGIN_ASYMPTOTIC)
-    return two_sided_test(delta_hat, plugin, alpha, mode_used=PLUGIN_ASYMPTOTIC)

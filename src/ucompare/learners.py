@@ -18,10 +18,6 @@ import numpy as np
 
 from .dataset import Observation
 
-# Below this many query points the plain-Python path is faster than paying
-# numpy's per-call overhead on tiny arrays.
-_BATCH_MIN = 8
-
 
 def misclassification_loss(predicted: int, actual: int) -> float:
     """0-1 loss: 1.0 when the labels differ, else 0.0."""
@@ -100,7 +96,6 @@ class _KnnPredictor(Predictor):
         self.points = points
         self.labels = labels
         self.k = k
-        self._features = None
 
     def predict(self, x):
         x = tuple(x)
@@ -115,13 +110,10 @@ class _KnnPredictor(Predictor):
         return 1 if 2 * votes > self.k else 0
 
     def predict_batch(self, xs):
-        if len(xs) < _BATCH_MIN:
-            return [self.predict(x) for x in xs]
-        if self._features is None:
-            self._features = np.array(self.points, dtype=float)
         q = np.asarray(xs, dtype=float)
+        points = np.array(self.points, dtype=float)
         with np.errstate(over="ignore"):
-            d2 = ((q[:, None, :] - self._features[None, :, :]) ** 2).sum(axis=2)
+            d2 = ((q[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
         _check_finite(d2.max())
         order = np.argsort(d2, axis=1, kind="stable")[:, : self.k]
         votes = np.asarray(self.labels)[order].sum(axis=1)
@@ -164,8 +156,6 @@ class _CentroidPredictor(Predictor):
         return 1 if d1 < d0 else 0
 
     def predict_batch(self, xs):
-        if len(xs) < _BATCH_MIN:
-            return [self.predict(x) for x in xs]
         q = np.asarray(xs, dtype=float)
         with np.errstate(over="ignore"):
             d0 = ((q - np.array(self.centroid0)) ** 2).sum(axis=1)

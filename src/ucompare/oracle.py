@@ -15,8 +15,6 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
-import numpy as np
-
 from .dataset import Dataset, Observation
 from .designs import DEFAULT_ENUMERATION_BUDGET, BudgetExceededError, hypergeometric_weights
 from .estimators import COMPLETE, EstimatorConfig, _combine, estimate_delta, estimate_variance
@@ -58,29 +56,21 @@ class DiscreteDistribution:
         return cls(tuple((Observation(tuple(x), y), p) for x, y, p in rows))
 
 
-def sample_dataset(dist: DiscreteDistribution, n: int, rng: np.random.Generator) -> Dataset:
-    """n i.i.d. draws from the distribution, as a dataset."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n!r}")
-    picks = rng.choice(dist.support_size, size=n, p=dist.probabilities)
-    obs = tuple(dist.observations[int(i)] for i in picks)
-    return Dataset(obs, feature_dim=len(obs[0].x))
-
-
 def _iter_weighted_tuples(
-    dist: DiscreteDistribution, length: int, budget: int
+    dist: DiscreteDistribution, length: int
 ) -> Iterator[tuple[tuple[Observation, ...], float]]:
     """All support^length ordered tuples with their product weights.
 
     Mixed-radix order, last position fastest; each weight is the product of
-    the atom probabilities taken left to right.
+    the atom probabilities taken left to right. Raises BudgetExceededError
+    beyond DEFAULT_ENUMERATION_BUDGET tuples.
     """
     s = dist.support_size
     total = s**length
-    if total > budget:
+    if total > DEFAULT_ENUMERATION_BUDGET:
         raise BudgetExceededError(
             f"enumeration needs {s}^{length} = {total} weighted tuples, over the "
-            f"budget of {budget}"
+            f"budget of {DEFAULT_ENUMERATION_BUDGET}"
         )
     obs = dist.observations
     probs = dist.probabilities
@@ -104,38 +94,25 @@ class _Phi0Memo:
         return value
 
 
-def true_delta(
-    dist: DiscreteDistribution,
-    kernel: ComparisonKernel,
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
-) -> float:
+def true_delta(dist: DiscreteDistribution, kernel: ComparisonKernel) -> float:
     """Exact expected error difference: the weighted sum of the pointwise
     kernel over all ordered (g+1)-tuples of atoms."""
     g = kernel.g
     terms = [
         w * phi_value(kernel, tup[:g], tup[g])
-        for tup, w in _iter_weighted_tuples(dist, g + 1, budget)
+        for tup, w in _iter_weighted_tuples(dist, g + 1)
     ]
     return math.fsum(terms)
 
 
-def expected_phi0(
-    dist: DiscreteDistribution,
-    kernel: ComparisonKernel,
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
-) -> float:
+def expected_phi0(dist: DiscreteDistribution, kernel: ComparisonKernel) -> float:
     """Exact mean of the symmetrized kernel; must agree with true_delta."""
     phi0 = _Phi0Memo(kernel)
-    terms = [w * phi0(tup) for tup, w in _iter_weighted_tuples(dist, kernel.m, budget)]
+    terms = [w * phi0(tup) for tup, w in _iter_weighted_tuples(dist, kernel.m)]
     return math.fsum(terms)
 
 
-def true_kappa_c(
-    dist: DiscreteDistribution,
-    kernel: ComparisonKernel,
-    c: int,
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
-) -> float:
+def true_kappa_c(dist: DiscreteDistribution, kernel: ComparisonKernel, c: int) -> float:
     """Exact mean of the overlap-c product kernel over i.i.d. tuples."""
     m = kernel.m
     if not 1 <= c <= m:
@@ -143,32 +120,25 @@ def true_kappa_c(
     phi0 = _Phi0Memo(kernel)
     terms = [
         w * phi0(tup[:m]) * phi0(tup[m - c :])
-        for tup, w in _iter_weighted_tuples(dist, 2 * m - c, budget)
+        for tup, w in _iter_weighted_tuples(dist, 2 * m - c)
     ]
     return math.fsum(terms)
 
 
-def true_theta2(
-    dist: DiscreteDistribution,
-    kernel: ComparisonKernel,
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
-) -> float:
+def true_theta2(dist: DiscreteDistribution, kernel: ComparisonKernel) -> float:
     """Exact mean of the disjoint-window product: the squared expected
     difference, computed without squaring."""
     m = kernel.m
     phi0 = _Phi0Memo(kernel)
     terms = [
         w * phi0(tup[:m]) * phi0(tup[m:])
-        for tup, w in _iter_weighted_tuples(dist, 2 * m, budget)
+        for tup, w in _iter_weighted_tuples(dist, 2 * m)
     ]
     return math.fsum(terms)
 
 
 def exact_estimator_moments(
-    dist: DiscreteDistribution,
-    n: int,
-    estimator: Callable[[Dataset], float],
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
+    dist: DiscreteDistribution, n: int, estimator: Callable[[Dataset], float]
 ) -> tuple[float, float]:
     """Exact (mean, variance) of a dataset statistic under i.i.d. sampling.
 
@@ -180,7 +150,7 @@ def exact_estimator_moments(
     dim = len(dist.observations[0].x)
     mean_terms = []
     square_terms = []
-    for tup, w in _iter_weighted_tuples(dist, n, budget):
+    for tup, w in _iter_weighted_tuples(dist, n):
         value = estimator(Dataset(tup, feature_dim=dim))
         mean_terms.append(w * value)
         square_terms.append(w * value * value)
@@ -240,60 +210,49 @@ def builtin_scenarios() -> tuple[OracleScenario, ...]:
     )
 
 
+#: Largest absolute residual a self-check may leave; the residuals are exact
+#: up to float rounding.
+CHECK_TOLERANCE = 1e-10
+
+
 @dataclass(frozen=True)
 class CheckResult:
-    """One self-check outcome: an exact residual and its tolerance."""
+    """One self-check outcome: an exact residual, held to CHECK_TOLERANCE."""
 
     scenario: str
     name: str
     residual: float
-    tolerance: float
 
     @property
     def passed(self) -> bool:
-        return abs(self.residual) <= self.tolerance
+        return abs(self.residual) <= CHECK_TOLERANCE
 
 
-def run_checks(
-    scenarios: Sequence[OracleScenario] | None = None,
-    biased_theta2: bool = False,
-    tolerance: float = 1e-10,
-) -> list[CheckResult]:
-    """Run the exact self-checks on the built-in (or given) scenarios.
+def run_checks(biased_theta2: bool = False) -> list[CheckResult]:
+    """Run the exact self-checks on the built-in scenarios.
 
     biased_theta2 deliberately replaces the disjoint-window estimate with the
     squared point estimate inside the variance estimator; the unbiasedness
     check is then expected to fail, which demonstrates it has teeth.
     """
-    if scenarios is None:
-        scenarios = builtin_scenarios()
     results = []
-    for sc in scenarios:
+    for sc in builtin_scenarios():
         kernel, dist, n = sc.kernel, sc.dist, sc.n
         m = kernel.m
         config = EstimatorConfig(mode=COMPLETE)
         delta = true_delta(dist, kernel)
         results.append(
-            CheckResult(
-                sc.name,
-                "symmetrized-kernel-mean",
-                expected_phi0(dist, kernel) - delta,
-                tolerance,
-            )
+            CheckResult(sc.name, "symmetrized-kernel-mean", expected_phi0(dist, kernel) - delta)
         )
         mean_delta_hat, var_delta_hat = exact_estimator_moments(
             dist, n, lambda ds: estimate_delta(KernelEvaluator(kernel, ds), config)
         )
-        results.append(
-            CheckResult(sc.name, "point-estimate-unbiased", mean_delta_hat - delta, tolerance)
-        )
+        results.append(CheckResult(sc.name, "point-estimate-unbiased", mean_delta_hat - delta))
         weights = hypergeometric_weights(n, m)
         kappa_trues = tuple(true_kappa_c(dist, kernel, c) for c in range(1, m + 1))
         decomposition = _combine(weights, kappa_trues, true_theta2(dist, kernel))
         results.append(
-            CheckResult(
-                sc.name, "variance-decomposition", var_delta_hat - decomposition, tolerance
-            )
+            CheckResult(sc.name, "variance-decomposition", var_delta_hat - decomposition)
         )
 
         if biased_theta2:
@@ -313,8 +272,6 @@ def run_checks(
             warnings.simplefilter("ignore", RuntimeWarning)
             mean_v_hat, _ = exact_estimator_moments(dist, n, v_hat)
         results.append(
-            CheckResult(
-                sc.name, "variance-estimate-unbiased", mean_v_hat - var_delta_hat, tolerance
-            )
+            CheckResult(sc.name, "variance-estimate-unbiased", mean_v_hat - var_delta_hat)
         )
     return results

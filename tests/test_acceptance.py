@@ -18,10 +18,8 @@ import ucompare as uc
 from ucompare import oracle
 from ucompare.cli import main as cli_main
 from ucompare.designs import (
-    approximation_error_bound,
     hypergeometric_weights,
     iterations_for_digits,
-    kfold_design,
     make_stream,
 )
 from ucompare.estimators import (
@@ -35,6 +33,8 @@ from ucompare.estimators import (
 from ucompare.inference import normal_cdf
 from ucompare.kernels import ComparisonKernel, KernelEvaluator
 from ucompare.learners import centroid_learner, constant_learner, knn_learner, stump_learner
+
+from support import approximation_error_bound, kfold_design, sample_dataset
 
 MASTER_SEED = 20260823
 
@@ -217,7 +217,7 @@ def test_criterion_08_studentized_statistic_is_asymptotically_normal():
     statistics = []
     skipped = 0
     for rep in range(NORMALITY_REPLICATES):
-        data = oracle.sample_dataset(dist, 60, make_stream(MASTER_SEED, (0, rep)))
+        data = sample_dataset(dist, 60, make_stream(MASTER_SEED, (0, rep)))
         config = EstimatorConfig(draws=NORMALITY_BUDGET, seed=rep)
         evaluator = KernelEvaluator(kernel, data)
         with warnings.catch_warnings():
@@ -247,14 +247,14 @@ def test_criterion_09_test_level_under_label_symmetry():
     rejections = 0
     decided = 0
     for rep in range(LEVEL_REPLICATES):
-        data = oracle.sample_dataset(dist, 100, make_stream(MASTER_SEED, (1, rep)))
+        data = sample_dataset(dist, 100, make_stream(MASTER_SEED, (1, rep)))
         config = EstimatorConfig(draws=LEVEL_BUDGET, seed=rep)
         evaluator = KernelEvaluator(kernel, data)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             delta_hat = estimate_delta(evaluator, config)
             variance = estimate_variance(evaluator, config)
-        result = uc.test_error_difference(delta_hat, variance, n=100, g=2, alpha=0.05)
+        result = uc.test_error_difference(delta_hat, variance, alpha=0.05)
         if result.degenerate:
             continue
         decided += 1

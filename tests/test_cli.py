@@ -1,5 +1,6 @@
 import json
 import re
+import time
 
 import pytest
 
@@ -580,6 +581,63 @@ class TestCompareFailures:
         assert captured.out == ""
         assert captured.err.startswith(message)
         assert captured.err.count("\n") == 1
+
+    def test_byte_order_mark_file_loads_by_header_name(self, tmp_path, capsys):
+        path = tmp_path / "bom.csv"
+        rows = [f"{y},{x}.0" for x, y in enumerate([0, 1, 1, 0, 1, 0, 0, 1])]
+        path.write_text("y,x1\n" + "\n".join(rows) + "\n", encoding="utf-8-sig")
+        rc = self.run_small(str(path), "--label-col", "y")
+        captured = capsys.readouterr()
+        assert rc in (EXIT_OK, EXIT_DEGENERATE)
+        assert json.loads(captured.out)["inputs"]["n"] == 8
+
+    def test_tiny_alpha_exits_before_any_fit(self, eight_row_csv, capsys, monkeypatch):
+        # 1 - 1e-17/2 rounds to 1.0, whose normal quantile is infinite.
+        fits = []
+
+        class Counted:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def fit(self, learning_set):
+                fits.append(learning_set)
+                return self.inner.fit(learning_set)
+
+        parse = cli.parse_learner
+        monkeypatch.setattr(cli, "parse_learner", lambda spec: Counted(parse(spec)))
+        rc = self.run_small(eight_row_csv, "--alpha", "1e-17")
+        captured = capsys.readouterr()
+        assert rc == EXIT_INPUT
+        assert fits == []
+        assert captured.out == ""
+        assert captured.err == "error: --alpha must lie strictly between 2^-53 and 1, got 1e-17\n"
+
+    def test_huge_digits_exit_at_once(self, eight_row_csv, capsys):
+        started = time.perf_counter()
+        rc = main(
+            [
+                "compare",
+                "--data",
+                eight_row_csv,
+                "--learner-a",
+                "knn:1",
+                "--learner-b",
+                "const:0",
+                "--g",
+                "1",
+                "--digits",
+                "1000000000",
+            ]
+        )
+        elapsed = time.perf_counter() - started
+        captured = capsys.readouterr()
+        assert rc == EXIT_INPUT
+        assert elapsed < 1.0
+        assert captured.out == ""
+        assert captured.err == (
+            "error: 10^2000000001 draws exceeds the 64-bit budget range; "
+            "digits=1000000000 is not a practical request\n"
+        )
 
     HUGE_FEATURES = [-1e308, 1.7e308, -5e307, 1.2e308, 0.0, 1.6e308, -1e308, 1.5e308]
 

@@ -91,6 +91,21 @@ def test_non_utf8_file_rejected(tmp_path):
         load_csv(path)
 
 
+def test_byte_order_mark_dropped_before_header(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_text("y,x1\n0,0.5\n1,1.5\n", encoding="utf-8-sig")
+    data = load_csv(path, label_column="y")
+    assert data.labels == (0, 1)
+    assert [obs.x for obs in data.observations] == [(0.5,), (1.5,)]
+
+
+def test_byte_order_mark_dropped_before_first_value(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_text("0.5,0\n1.5,1\n", encoding="utf-8-sig")
+    data = load_csv(path, has_header=False)
+    assert [obs.x for obs in data.observations] == [(0.5,), (1.5,)]
+
+
 def test_overlong_field_rejected(tmp_path):
     path = write(tmp_path, "a,y\n1,0\n" + "1" * 200_000 + ",1\n")
     with pytest.raises(DatasetFormatError, match="line 3: field larger than field limit"):

@@ -1,4 +1,5 @@
 import math
+import time
 from collections import Counter
 
 import numpy as np
@@ -7,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ucompare.designs import (
-    approximation_error_bound,
     hypergeometric_weights,
     iterations_for_digits,
-    kfold_design,
     make_stream,
     sample_ordered_subsets,
 )
+
+from support import approximation_error_bound, kfold_design
 
 
 def sample_ordered_subset(n: int, k: int, rng: np.random.Generator) -> tuple[int, ...]:
@@ -204,6 +205,14 @@ class TestIterationsForDigits:
             iterations_for_digits(0)
         with pytest.raises(OverflowError):
             iterations_for_digits(9)
+
+    def test_huge_digits_rejected_before_the_power(self):
+        # 10^(2*10^18 + 1) could never be computed; the exponent is checked first.
+        started = time.perf_counter()
+        with pytest.raises(OverflowError, match="10\\^2000000000000000001 draws"):
+            iterations_for_digits(10**18)
+        assert time.perf_counter() - started < 1.0
+        assert iterations_for_digits(8) == 10**17
 
 
 def test_error_bound_monotone_in_draws():

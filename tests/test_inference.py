@@ -7,17 +7,7 @@ from hypothesis import strategies as st
 
 from ucompare.designs import hypergeometric_weights
 from ucompare.estimators import VarianceEstimate
-from ucompare.inference import (
-    PLUGIN_ASYMPTOTIC,
-    UNBIASED,
-    DegenerateVarianceError,
-    confidence_interval,
-    normal_cdf,
-    normal_quantile,
-    plugin_variance,
-    studentize,
-    two_sided_test,
-)
+from ucompare.inference import PLUGIN_ASYMPTOTIC, UNBIASED, normal_cdf, normal_quantile
 from ucompare.inference import test_error_difference as run_error_difference_test
 
 Z_975 = 1.959963984540054
@@ -26,12 +16,22 @@ Z_975 = 1.959963984540054
 def variance_estimate(v_hat, kappa1, theta2, n=10, m=2):
     return VarianceEstimate(
         v_hat=v_hat,
-        kappa_hats=(kappa1, 0.0),
+        kappa_hats=(kappa1,) + (0.0,) * (m - 1),
         theta2_hat=theta2,
         weights=hypergeometric_weights(n, m),
         nonpositive=v_hat <= 0.0,
         degeneracy_warning=False,
     )
+
+
+def studentized(delta_hat, u_n, alpha=0.05):
+    """The test with u(n) = u_n on both routes.
+
+    v_hat is u_n, and with n = 4, m = 2 the plug-in m^2 (u_n - 0) / n is u_n
+    exactly, so a nonpositive u_n leaves no positive variance to use.
+    """
+    variance = variance_estimate(u_n, u_n, 0.0, n=4, m=2)
+    return run_error_difference_test(delta_hat, variance, alpha=alpha)
 
 
 class TestNormalCdf:
@@ -100,49 +100,48 @@ class TestNormalQuantile:
 
 class TestStudentize:
     def test_value(self):
-        assert studentize(-0.14, 0.01) == pytest.approx(-1.4, abs=1e-15)
+        assert studentized(-0.14, 0.01).statistic == pytest.approx(-1.4, abs=1e-15)
 
     @pytest.mark.parametrize("u_n", [0.0, -1e-12, -3.0])
     def test_nonpositive_variance_rejected(self, u_n):
-        with pytest.raises(DegenerateVarianceError) as err:
-            studentize(0.5, u_n)
-        assert err.value.u_n == u_n
+        # Neither route has a positive variance: nothing is studentized.
+        result = studentized(0.5, u_n)
+        assert result.degenerate
+        assert result.u_n == u_n
+        assert result.statistic is None
 
 
 class TestConfidenceInterval:
     def test_hand_value(self):
-        low, high = confidence_interval(-0.14, 0.01, 0.05)
-        assert low == pytest.approx(-0.14 - 0.1 * Z_975, abs=1e-12)
-        assert high == pytest.approx(-0.14 + 0.1 * Z_975, abs=1e-12)
-
-    def test_zero_variance_collapses_to_point(self):
-        assert confidence_interval(0.3, 0.0, 0.05) == (0.3, 0.3)
+        result = studentized(-0.14, 0.01, 0.05)
+        assert result.ci_low == pytest.approx(-0.14 - 0.1 * Z_975, abs=1e-12)
+        assert result.ci_high == pytest.approx(-0.14 + 0.1 * Z_975, abs=1e-12)
 
     def test_negative_variance_rejected(self):
-        with pytest.raises(DegenerateVarianceError):
-            confidence_interval(0.3, -1e-9, 0.05)
+        result = studentized(0.3, -1e-9, 0.05)
+        assert result.ci_low is None and result.ci_high is None
 
     def test_alpha_domain(self):
         with pytest.raises(ValueError):
-            confidence_interval(0.0, 1.0, 0.0)
+            studentized(0.0, 1.0, 0.0)
         with pytest.raises(ValueError):
-            confidence_interval(0.0, 1.0, 1.0)
+            studentized(0.0, 1.0, 1.0)
 
     def test_smaller_alpha_widens(self):
-        narrow = confidence_interval(0.0, 1.0, 0.10)
-        wide = confidence_interval(0.0, 1.0, 0.01)
-        assert wide[0] < narrow[0] < narrow[1] < wide[1]
+        narrow = studentized(0.0, 1.0, 0.10)
+        wide = studentized(0.0, 1.0, 0.01)
+        assert wide.ci_low < narrow.ci_low < narrow.ci_high < wide.ci_high
 
 
 class TestTwoSidedTest:
     def test_zero_estimate_has_p_one(self):
-        result = two_sided_test(0.0, 0.04)
+        result = studentized(0.0, 0.04)
         assert result.statistic == 0.0
         assert result.p_value == 1.0
         assert not result.reject
 
     def test_textbook_example(self):
-        result = two_sided_test(-0.14, 0.01, alpha=0.05)
+        result = studentized(-0.14, 0.01, alpha=0.05)
         assert result.statistic == pytest.approx(-1.4, abs=1e-15)
         assert result.p_value == pytest.approx(0.1615133184675423, abs=1e-12)
         assert result.ci_low == pytest.approx(-0.3359963984540054, abs=1e-12)
@@ -150,8 +149,8 @@ class TestTwoSidedTest:
         assert not result.reject
 
     def test_rejection_is_nonstrict_around_threshold(self):
-        just_over = two_sided_test(math.sqrt(0.01) * (Z_975 + 1e-9), 0.01)
-        just_under = two_sided_test(math.sqrt(0.01) * (Z_975 - 1e-9), 0.01)
+        just_over = studentized(math.sqrt(0.01) * (Z_975 + 1e-9), 0.01)
+        just_under = studentized(math.sqrt(0.01) * (Z_975 - 1e-9), 0.01)
         assert just_over.reject
         assert not just_under.reject
         assert just_over.p_value == pytest.approx(0.05, abs=1e-8)
@@ -159,12 +158,12 @@ class TestTwoSidedTest:
     def test_p_monotone_in_statistic_magnitude(self):
         previous = 2.0
         for z in (0.0, 0.5, 1.0, 2.0, 4.0):
-            p = two_sided_test(z, 1.0).p_value
+            p = studentized(z, 1.0).p_value
             assert p < previous
             previous = p
 
     def test_degenerate_result_has_no_decision(self):
-        result = two_sided_test(0.2, 0.0)
+        result = studentized(0.2, 0.0)
         assert result.degenerate
         assert result.u_n == 0.0
         assert result.delta_hat == 0.2
@@ -175,7 +174,7 @@ class TestTwoSidedTest:
 
     def test_alpha_domain(self):
         with pytest.raises(ValueError):
-            two_sided_test(0.0, 1.0, alpha=0.0)
+            studentized(0.0, 1.0, alpha=0.0)
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -184,7 +183,7 @@ class TestTwoSidedTest:
         alpha=st.floats(min_value=0.01, max_value=0.2),
     )
     def test_duality_with_interval(self, delta, u_n, alpha):
-        result = two_sided_test(delta, u_n, alpha)
+        result = studentized(delta, u_n, alpha)
         assume(abs(result.p_value - alpha) > 1e-9)
         excludes_zero = not (result.ci_low <= 0.0 <= result.ci_high)
         assert result.reject == excludes_zero
@@ -192,40 +191,36 @@ class TestTwoSidedTest:
 
 class TestPluginVariance:
     def test_formula(self):
-        assert plugin_variance(0.3, 0.1, 2, 90) == pytest.approx(
-            9 * 0.2 / 90, abs=1e-15
-        )
-
-    def test_rejects_bad_sizes(self):
-        with pytest.raises(ValueError):
-            plugin_variance(0.3, 0.1, 0, 10)
-        with pytest.raises(ValueError):
-            plugin_variance(0.3, 0.1, 1, 0)
+        # n = 90 and m = g + 1 = 3 come from the weights.
+        variance = variance_estimate(-1.0, 0.3, 0.1, n=90, m=3)
+        result = run_error_difference_test(0.0, variance)
+        assert result.mode_used == PLUGIN_ASYMPTOTIC
+        assert result.u_n == pytest.approx(9 * 0.2 / 90, abs=1e-15)
 
 
 class TestErrorDifferenceTest:
     def test_unbiased_mode_uses_v_hat(self):
         variance = variance_estimate(0.02, 0.5, 0.1)
-        result = run_error_difference_test(0.1, variance, n=10, g=1)
+        result = run_error_difference_test(0.1, variance)
         assert result.mode_used == UNBIASED
         assert result.u_n == 0.02
 
     def test_fallback_to_plugin_when_v_hat_nonpositive(self):
         variance = variance_estimate(-0.003, 0.5, 0.1)
-        result = run_error_difference_test(0.1, variance, n=10, g=1)
+        result = run_error_difference_test(0.1, variance)
         assert result.mode_used == PLUGIN_ASYMPTOTIC
         assert result.u_n == pytest.approx(4 * 0.4 / 10, abs=1e-15)
         assert not result.degenerate
 
     def test_plugin_mode_ignores_v_hat(self):
         variance = variance_estimate(0.02, 0.5, 0.1)
-        result = run_error_difference_test(0.1, variance, n=10, g=1, mode=PLUGIN_ASYMPTOTIC)
+        result = run_error_difference_test(0.1, variance, mode=PLUGIN_ASYMPTOTIC)
         assert result.mode_used == PLUGIN_ASYMPTOTIC
         assert result.u_n == pytest.approx(4 * 0.4 / 10, abs=1e-15)
 
     def test_degenerate_when_both_routes_fail(self):
         variance = variance_estimate(-0.01, 0.1, 0.3)
-        result = run_error_difference_test(0.1, variance, n=10, g=1)
+        result = run_error_difference_test(0.1, variance)
         assert result.degenerate
         assert result.mode_used == PLUGIN_ASYMPTOTIC
         assert result.reject is None
@@ -233,4 +228,15 @@ class TestErrorDifferenceTest:
     def test_unknown_mode_rejected(self):
         variance = variance_estimate(0.02, 0.5, 0.1)
         with pytest.raises(ValueError, match="mode"):
-            run_error_difference_test(0.1, variance, n=10, g=1, mode="bootstrap")
+            run_error_difference_test(0.1, variance, mode="bootstrap")
+
+    @pytest.mark.parametrize("alpha", [1e-17, 2.0**-53])
+    def test_alpha_too_small_for_the_quantile_rejected(self, alpha):
+        # 1 - alpha/2 rounds to 1.0 here, where the normal quantile is infinite.
+        with pytest.raises(ValueError, match="alpha"):
+            studentized(0.1, 0.02, alpha)
+
+    def test_smallest_accepted_alpha_gives_a_finite_interval(self):
+        alpha = math.nextafter(2.0**-53, 1.0)
+        result = studentized(0.1, 0.02, alpha)
+        assert math.isfinite(result.ci_low) and math.isfinite(result.ci_high)
