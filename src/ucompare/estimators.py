@@ -252,8 +252,8 @@ def estimate_variance(evaluator: KernelEvaluator, config: EstimatorConfig) -> Va
     degenerate = kappa_hats[0] - theta2_hat <= NONDEGENERACY_TOL
     if degenerate:
         warnings.warn(
-            f"kappa_hat_1 - theta2_hat = {kappa_hats[0] - theta2_hat:.3e} is within "
-            f"tolerance {NONDEGENERACY_TOL:.1e} of zero; the comparison looks "
+            f"kappa_hat_1 - theta2_hat = {kappa_hats[0] - theta2_hat:.3e} is at or "
+            f"below the tolerance {NONDEGENERACY_TOL:.1e}; the comparison looks "
             f"degenerate and studentized inference may be uninformative",
             RuntimeWarning,
             stacklevel=2,

@@ -1,8 +1,8 @@
 """Error-difference kernels: pointwise, symmetrized, and product forms.
 
 The pointwise kernel trains both algorithms on g observations and scores
-their loss difference on one held-out observation; with the 0-1 loss it takes
-values in {-1, 0, 1}. The symmetrized kernel averages the g + 1 rotations of
+the difference of their misclassifications on one held-out observation, an
+integer in {-1, 0, 1}. The symmetrized kernel averages the g + 1 rotations of
 a size-(g+1) subset through the test position, which makes it invariant
 under permutations of the subset (the learners themselves are
 permutation-symmetric, so rotations are enough). Product kernels multiply
@@ -12,9 +12,8 @@ their means are the second-moment quantities behind the variance estimate.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .dataset import Dataset, Observation
 from .learners import Learner, Predictor, misclassification_loss
@@ -29,11 +28,10 @@ class SampleTooSmallError(ValueError):
 
 @dataclass(frozen=True)
 class ComparisonKernel:
-    """The two algorithms under comparison, their loss, and the split size g."""
+    """The two algorithms under comparison and the split size g."""
 
     learner_a: Learner
     learner_b: Learner
-    loss: Callable[[int, int], float] = misclassification_loss
     g: int = 1
 
     def __post_init__(self):
@@ -50,15 +48,15 @@ def phi_value(
     kernel: ComparisonKernel,
     learn_obs: Sequence[Observation],
     test_obs: Observation,
-) -> float:
-    """Loss difference of the two fitted predictors at one test point."""
+) -> int:
+    """Misclassification difference of the two fitted predictors at one test point."""
     if len(learn_obs) != kernel.g:
         raise ValueError(f"expected {kernel.g} learning observations, got {len(learn_obs)}")
     pred_a = kernel.learner_a.fit(learn_obs)
     pred_b = kernel.learner_b.fit(learn_obs)
-    return kernel.loss(pred_a.predict(test_obs.x), test_obs.y) - kernel.loss(
-        pred_b.predict(test_obs.x), test_obs.y
-    )
+    return misclassification_loss(
+        pred_a.predict(test_obs.x), test_obs.y
+    ) - misclassification_loss(pred_b.predict(test_obs.x), test_obs.y)
 
 
 def phi0_value(kernel: ComparisonKernel, subset_obs: Sequence[Observation]) -> float:
@@ -75,7 +73,7 @@ def phi0_value(kernel: ComparisonKernel, subset_obs: Sequence[Observation]) -> f
         phi_value(kernel, subset_obs[:i] + subset_obs[i + 1 :], subset_obs[i])
         for i in range(m)
     ]
-    return math.fsum(values) / m
+    return sum(values) / m
 
 
 def _remember(memo: dict, key, value):
@@ -93,7 +91,7 @@ class KernelEvaluator:
     (x, y). A multiset of rows is keyed by the sorted tuple of its class ids,
     so value-equal subsets share one entry: determinism guarantees that equal
     multisets give predictors with identical outputs. Three memos (fitted
-    predictor pairs, symmetrized values, per-row kernel values) hold at most
+    predictor pairs, symmetrized values, complement totals) hold at most
     MEMO_SIZE entries each and evict the oldest entry first. Evaluation is
     single-threaded.
     """
@@ -113,7 +111,7 @@ class KernelEvaluator:
         }
         self._fits: dict[tuple, tuple[Predictor, Predictor]] = {}
         self._phi0s: dict[tuple, float] = {}
-        self._phi_rows: dict[tuple, tuple[float, ...]] = {}
+        self._totals: dict[tuple, int] = {}
 
     def _key(self, indices: Iterable[int]) -> tuple[int, ...]:
         """Sorted class ids of the rows at indices; IndexError outside 1..n."""
@@ -134,17 +132,22 @@ class KernelEvaluator:
             )
         return pair
 
-    def phi(self, learn_indices: Sequence[int], test_index: int) -> float:
-        if len(learn_indices) != self.kernel.g:
-            raise ValueError(
-                f"expected {self.kernel.g} learning indices, got {len(learn_indices)}"
-            )
+    def _check_learning(self, learn_indices: Sequence[int]) -> None:
+        g = self.kernel.g
+        if len(learn_indices) != g:
+            raise ValueError(f"expected {g} learning indices, got {len(learn_indices)}")
+        if len(set(learn_indices)) != g:
+            raise ValueError(f"learning indices must be distinct, got {tuple(learn_indices)}")
+
+    def phi(self, learn_indices: Sequence[int], test_index: int) -> int:
+        self._check_learning(learn_indices)
         if test_index in learn_indices:
             raise ValueError(f"test index {test_index} also appears in the learning part")
         obs = self.data.observation(test_index)
         pred_a, pred_b = self._fit_pair(self._key(learn_indices), learn_indices)
-        loss = self.kernel.loss
-        return loss(pred_a.predict(obs.x), obs.y) - loss(pred_b.predict(obs.x), obs.y)
+        return misclassification_loss(pred_a.predict(obs.x), obs.y) - misclassification_loss(
+            pred_b.predict(obs.x), obs.y
+        )
 
     def phi0(self, member_indices: Sequence[int]) -> float:
         """Symmetrized kernel over a subset, memoized by its class-id key."""
@@ -159,38 +162,31 @@ class KernelEvaluator:
                 self.phi(tuple(members[:i] + members[i + 1 :]), members[i])
                 for i in range(m)
             ]
-            result = _remember(self._phi0s, key, math.fsum(values) / m)
+            result = _remember(self._phi0s, key, sum(values) / m)
         return result
 
-    def phi_complement_total(self, learn_indices: Sequence[int]) -> float:
+    def phi_complement_total(self, learn_indices: Sequence[int]) -> int:
         """Sum of phi over every row outside learn_indices, fitting once.
 
-        The per-row values depend only on the learning multiset, so they are
-        computed with one batch prediction pass per distinct multiset. The
-        complement sum is the exactly rounded sum of those values with the
-        learning rows set to 0.0, so it equals the direct sum over the
-        held-out rows for any loss.
+        The learning indices are distinct and rows with equal (x, y) have
+        equal values, so the total depends only on the learning multiset and
+        takes one batch prediction pass per multiset.
         """
-        if len(learn_indices) != self.kernel.g:
-            raise ValueError(
-                f"expected {self.kernel.g} learning indices, got {len(learn_indices)}"
-            )
+        self._check_learning(learn_indices)
         key = self._key(learn_indices)
-        rows = self._phi_rows.get(key)
-        if rows is None:
+        total = self._totals.get(key)
+        if total is None:
             pred_a, pred_b = self._fit_pair(key, learn_indices)
-            loss = self.kernel.loss
             out_a = pred_a.predict_batch(self.data.feature_matrix)
             out_b = pred_b.predict_batch(self.data.feature_matrix)
-            rows = tuple(
-                loss(a, obs.y) - loss(b, obs.y)
+            rows = [
+                misclassification_loss(a, obs.y) - misclassification_loss(b, obs.y)
                 for a, b, obs in zip(out_a, out_b, self.data.observations)
+            ]
+            total = _remember(
+                self._totals, key, sum(rows) - sum(rows[i - 1] for i in learn_indices)
             )
-            _remember(self._phi_rows, key, rows)
-        held_out = list(rows)
-        for i in learn_indices:
-            held_out[i - 1] = 0.0
-        return math.fsum(held_out)
+        return total
 
     def product(self, indices: Sequence[int], overlap: int) -> float:
         """Product of symmetrized values on the two standard windows.

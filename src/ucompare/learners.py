@@ -1,4 +1,4 @@
-"""Deterministic, permutation-symmetric learning algorithms and the 0-1 loss.
+"""Deterministic, permutation-symmetric learning algorithms and their 0-1 error.
 
 Every learner here is a pure function of the multiset of learning
 observations: refitting the same multiset gives a predictor with identical
@@ -19,13 +19,13 @@ import numpy as np
 from .dataset import Observation
 
 
-def misclassification_loss(predicted: int, actual: int) -> float:
-    """0-1 loss: 1.0 when the labels differ, else 0.0."""
+def misclassification_loss(predicted: int, actual: int) -> int:
+    """0-1 loss: 1 when the labels differ, else 0."""
     if predicted not in (0, 1):
         raise ValueError(f"predicted label must be 0 or 1, got {predicted!r}")
     if actual not in (0, 1):
         raise ValueError(f"actual label must be 0 or 1, got {actual!r}")
-    return 1.0 if predicted != actual else 0.0
+    return 1 if predicted != actual else 0
 
 
 def _canonical(learning_set: Sequence[Observation]) -> list[Observation]:

@@ -2,11 +2,14 @@
 
 The encoder is deliberately hand-rolled: keys keep insertion order and every
 float is written with 17 significant digits, so a report is byte-identical
-across runs with the same inputs and parses back to the same values.
+across runs with the same inputs and parses back to the same values. Strings
+go through json.dumps, which escapes only backslash, double quote and control
+characters.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 SCHEMA_VERSION = 1
@@ -24,7 +27,7 @@ def _encode(value, pieces: list[str]) -> None:
     elif isinstance(value, float):
         pieces.append(format(value, ".17g"))
     elif isinstance(value, str):
-        pieces.append('"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"')
+        pieces.append(json.dumps(value, ensure_ascii=False))
     elif isinstance(value, (list, tuple)):
         pieces.append("[")
         for i, item in enumerate(value):

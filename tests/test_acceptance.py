@@ -209,6 +209,7 @@ def test_criterion_07_digit_budget_and_bound_value():
     )
 
 
+@pytest.mark.slow
 def test_criterion_08_studentized_statistic_is_asymptotically_normal():
     started = time.perf_counter()
     dist = oracle.DiscreteDistribution.from_rows(NORMALITY_ROWS)
@@ -239,6 +240,7 @@ def test_criterion_08_studentized_statistic_is_asymptotically_normal():
     )
 
 
+@pytest.mark.slow
 def test_criterion_09_test_level_under_label_symmetry():
     dist = oracle.BALANCED_LABELS
     kernel = ComparisonKernel(constant_learner(1), constant_learner(0), g=2)

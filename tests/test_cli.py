@@ -95,6 +95,30 @@ class TestCompareHappyPath:
         assert report["outputs"]["ci_low"] <= report["outputs"]["delta_hat"]
         assert report["outputs"]["delta_hat"] <= report["outputs"]["ci_high"]
 
+    def test_tab_in_data_file_name_gives_valid_json(self, tmp_path, capsys):
+        csv_path = write_csv(tmp_path / "tab\tname.csv", [0, 1, 1, 0, 1, 0, 0, 1])
+        rc = main(
+            [
+                "compare",
+                "--data",
+                csv_path,
+                "--learner-a",
+                "knn:1",
+                "--learner-b",
+                "const:0",
+                "--g",
+                "1",
+                "--iterations",
+                "400",
+                "--seed",
+                "5",
+            ]
+        )
+        out = capsys.readouterr().out
+        assert rc == EXIT_OK
+        assert "\t" not in out
+        assert json.loads(out)["inputs"]["data"] == csv_path
+
     def test_variance_recombines_from_report(self, eight_row_csv, capsys):
         main(
             [

@@ -7,12 +7,34 @@ from ucompare.dataset import Dataset
 from ucompare.kernels import ComparisonKernel, KernelEvaluator, phi0_value, phi_value
 from ucompare.learners import (
     Learner,
+    Predictor,
     centroid_learner,
     constant_learner,
     knn_learner,
-    misclassification_loss,
     stump_learner,
 )
+
+
+class BatchCountingLearner(Learner):
+    """Wraps a learner and logs (name, learning features) per predict_batch."""
+
+    def __init__(self, name, inner, log):
+        self.name, self.inner, self.log = name, inner, log
+
+    def fit(self, learning_set):
+        predictor = self.inner.fit(learning_set)
+        entry = (self.name, tuple(sorted(obs.x for obs in learning_set)))
+        log = self.log
+
+        class Logged(Predictor):
+            def predict(self, x):
+                return predictor.predict(x)
+
+            def predict_batch(self, xs):
+                log.append(entry)
+                return predictor.predict_batch(xs)
+
+        return Logged()
 
 
 def four_rows() -> Dataset:
@@ -52,18 +74,6 @@ class TestPointwiseKernel:
         data = four_rows()
         with pytest.raises(ValueError, match="learning"):
             phi_value(knn_vs_const(), data.subset((1, 2)), data.observation(3))
-
-    def test_loss_scaling_scales_phi(self):
-        data = four_rows()
-        scaled = ComparisonKernel(
-            knn_learner(1),
-            constant_learner(0),
-            loss=lambda p, y: 0.5 * misclassification_loss(p, y),
-            g=1,
-        )
-        for learn, test in [((2,), 1), ((2,), 3), ((1,), 2)]:
-            value = KernelEvaluator(scaled, data).phi(learn, test)
-            assert value == 0.5 * KernelEvaluator(knn_vs_const(), data).phi(learn, test)
 
 
 class TestSymmetrizedKernel:
@@ -229,35 +239,47 @@ class TestKernelEvaluator:
                 ev.phi(learn, t) for t in held_out
             )
 
-    def test_complement_total_is_exact_for_a_fractional_loss(self):
-        # With a 0.1x loss the row values are not integers, so subtracting
-        # the learning rows from the full total would round differently.
+    def test_equal_multisets_share_one_complement_total(self):
+        # Rows 1, 4 and 7 carry observation A, rows 2 and 5 carry B.
         data = Dataset.from_arrays(
-            [(float((i * 5) % 12), float((i * 7) % 11)) for i in range(12)],
-            [(i * i + i // 3) % 2 for i in range(12)],
+            [(0.0,), (1.0,), (2.0,), (0.0,), (1.0,), (3.0,), (0.0,)],
+            [0, 1, 1, 0, 1, 0, 0],
         )
+        batches = []
         kernel = ComparisonKernel(
-            knn_learner(1),
-            stump_learner(),
-            loss=lambda p, y: 0.1 * misclassification_loss(p, y),
-            g=3,
+            BatchCountingLearner("a", knn_learner(1), batches),
+            BatchCountingLearner("b", stump_learner(), batches),
+            g=2,
         )
         ev = KernelEvaluator(kernel, data)
-        for learn in itertools.combinations(range(1, 13), 3):
-            held_out = [t for t in range(1, 13) if t not in learn]
-            assert ev.phi_complement_total(learn) == math.fsum(
-                ev.phi(learn, t) for t in held_out
-            ), learn
+        groups = [[(1, 2), (4, 5), (7, 2), (5, 1)], [(1, 4), (4, 7), (7, 1)], [(3, 6)]]
+        for group in groups:
+            totals = {ev.phi_complement_total(learn) for learn in group}
+            assert len(totals) == 1
+            for learn in group:
+                held_out = [t for t in range(1, data.n + 1) if t not in learn]
+                assert ev.phi_complement_total(learn) == sum(ev.phi(learn, t) for t in held_out)
+                assert isinstance(ev.phi_complement_total(learn), int)
+        assert sorted(batches) == sorted(
+            (name, multiset)
+            for name in "ab"
+            for multiset in [((0.0,), (1.0,)), ((0.0,), (0.0,)), ((2.0,), (3.0,))]
+        )
 
     def test_complement_total_checks_learning_size(self):
         ev = KernelEvaluator(knn_vs_const(1), four_rows())
         with pytest.raises(ValueError, match="learning"):
             ev.phi_complement_total((1, 2))
+        ev = KernelEvaluator(knn_vs_const(2), four_rows())
+        with pytest.raises(ValueError, match="distinct"):
+            ev.phi_complement_total((1, 1))
 
     def test_phi_rejects_test_inside_learning_part(self):
         ev = KernelEvaluator(knn_vs_const(2), four_rows())
         with pytest.raises(ValueError, match="learning"):
             ev.phi((1, 2), 2)
+        with pytest.raises(ValueError, match="distinct"):
+            ev.phi((1, 1), 3)
 
     def test_phi0_rejects_repeats_and_bad_size(self):
         ev = KernelEvaluator(knn_vs_const(1), four_rows())
