@@ -78,14 +78,14 @@ def sample_ordered_subsets(
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count!r}")
-    columns = [rng.integers(i, n, size=count) for i in range(k)]
+    # memoryview iteration yields Python ints without a per-element numpy scalar.
+    columns = [memoryview(rng.integers(i, n, size=count)) for i in range(k)]
     base = list(range(1, n + 1))
     draws = []
-    for d in range(count):
+    for picks in zip(*columns):
         pool = base.copy()
         out = []
-        for i in range(k):
-            j = int(columns[i][d])
+        for i, j in enumerate(picks):
             pool[i], pool[j] = pool[j], pool[i]
             out.append(pool[i])
         draws.append(tuple(out))

@@ -16,10 +16,16 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .dataset import Dataset, Observation
-from .learners import Learner, Predictor, misclassification_loss
+from .learners import Learner, misclassification_loss
 
-# Entries kept per memo before the oldest is evicted.
-MEMO_SIZE = 100_000
+# Entries a memo holds before it is emptied. Every reuse the benchmark
+# workloads and the tests show fits in under 2,000 keys (sampled-duplicates:
+# at most 1,716 phi0 keys and 787 learning multisets; complete-enum: 680 and
+# 136). A complete run that finishes within about an hour (n = 22, g = 4)
+# needs at most C(22, 5) = 26,334 phi0 entries; the cheapest complete run with
+# more entries that passes the enumeration budget (n = 20, g = 5) makes about
+# 3 * 10^9 phi0 lookups, roughly two hours.
+MEMO_SIZE = 2**15
 
 
 class SampleTooSmallError(ValueError):
@@ -77,10 +83,10 @@ def phi0_value(kernel: ComparisonKernel, subset_obs: Sequence[Observation]) -> f
 
 
 def _remember(memo: dict, key, value):
-    """Store value under key, evicting the oldest entry beyond MEMO_SIZE."""
+    """Store value under a new key, first emptying the memo if it is full."""
+    if len(memo) >= MEMO_SIZE:
+        memo.clear()
     memo[key] = value
-    if len(memo) > MEMO_SIZE:
-        del memo[next(iter(memo))]
     return value
 
 
@@ -90,9 +96,12 @@ class KernelEvaluator:
     Every row gets a class id: the first 1-based index of a row with the same
     (x, y). A multiset of rows is keyed by the sorted tuple of its class ids,
     so value-equal subsets share one entry: determinism guarantees that equal
-    multisets give predictors with identical outputs. Three memos (fitted
-    predictor pairs, symmetrized values, complement totals) hold at most
-    MEMO_SIZE entries each and evict the oldest entry first. Evaluation is
+    multisets give predictors with identical outputs. There are two memos:
+    `_phi0s` maps a subset's key to its symmetrized value, and `_learned` maps
+    a learning multiset's key to the list [predictor a, predictor b, complement
+    total], where the total stays None until phi_complement_total computes it.
+    Each holds at most MEMO_SIZE entries and is emptied when an insert finds it
+    full, so a run at any budget keeps bounded memory. Evaluation is
     single-threaded.
     """
 
@@ -109,9 +118,8 @@ class KernelEvaluator:
             i: first_row.setdefault((obs.x, obs.y), i)
             for i, obs in enumerate(data.observations, start=1)
         }
-        self._fits: dict[tuple, tuple[Predictor, Predictor]] = {}
         self._phi0s: dict[tuple, float] = {}
-        self._totals: dict[tuple, int] = {}
+        self._learned: dict[tuple, list] = {}
 
     def _key(self, indices: Iterable[int]) -> tuple[int, ...]:
         """Sorted class ids of the rows at indices; IndexError outside 1..n."""
@@ -121,16 +129,18 @@ class KernelEvaluator:
         except KeyError as exc:
             raise IndexError(f"index {exc.args[0]!r} outside 1..{self.data.n}") from None
 
-    def _fit_pair(self, key: tuple, learn_indices: Sequence[int]) -> tuple[Predictor, Predictor]:
-        pair = self._fits.get(key)
-        if pair is None:
+    def _learned_entry(self, learn_indices: Sequence[int]) -> list:
+        """The `_learned` entry of the rows at learn_indices, fitting both learners on a miss."""
+        key = self._key(learn_indices)
+        entry = self._learned.get(key)
+        if entry is None:
             learn_obs = self.data.subset(learn_indices)
-            pair = _remember(
-                self._fits,
+            entry = _remember(
+                self._learned,
                 key,
-                (self.kernel.learner_a.fit(learn_obs), self.kernel.learner_b.fit(learn_obs)),
+                [self.kernel.learner_a.fit(learn_obs), self.kernel.learner_b.fit(learn_obs), None],
             )
-        return pair
+        return entry
 
     def _check_learning(self, learn_indices: Sequence[int]) -> None:
         g = self.kernel.g
@@ -144,7 +154,7 @@ class KernelEvaluator:
         if test_index in learn_indices:
             raise ValueError(f"test index {test_index} also appears in the learning part")
         obs = self.data.observation(test_index)
-        pred_a, pred_b = self._fit_pair(self._key(learn_indices), learn_indices)
+        pred_a, pred_b, _ = self._learned_entry(learn_indices)
         return misclassification_loss(pred_a.predict(obs.x), obs.y) - misclassification_loss(
             pred_b.predict(obs.x), obs.y
         )
@@ -173,20 +183,17 @@ class KernelEvaluator:
         takes one batch prediction pass per multiset.
         """
         self._check_learning(learn_indices)
-        key = self._key(learn_indices)
-        total = self._totals.get(key)
-        if total is None:
-            pred_a, pred_b = self._fit_pair(key, learn_indices)
+        entry = self._learned_entry(learn_indices)
+        if entry[2] is None:
+            pred_a, pred_b, _ = entry
             out_a = pred_a.predict_batch(self.data.feature_matrix)
             out_b = pred_b.predict_batch(self.data.feature_matrix)
             rows = [
                 misclassification_loss(a, obs.y) - misclassification_loss(b, obs.y)
                 for a, b, obs in zip(out_a, out_b, self.data.observations)
             ]
-            total = _remember(
-                self._totals, key, sum(rows) - sum(rows[i - 1] for i in learn_indices)
-            )
-        return total
+            entry[2] = sum(rows) - sum(rows[i - 1] for i in learn_indices)
+        return entry[2]
 
     def product(self, indices: Sequence[int], overlap: int) -> float:
         """Product of symmetrized values on the two standard windows.

@@ -9,6 +9,7 @@ checked against.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -78,20 +79,10 @@ def _iter_weighted_tuples(
         yield tuple(obs[d] for d in digits), math.prod(probs[d] for d in digits)
 
 
-class _Phi0Memo:
-    """Value-keyed memo for the symmetrized kernel over atom multisets."""
-
-    def __init__(self, kernel: ComparisonKernel):
-        self.kernel = kernel
-        self._memo: dict = {}
-
-    def __call__(self, window: tuple[Observation, ...]) -> float:
-        key = tuple(sorted((obs.x, obs.y) for obs in window))
-        value = self._memo.get(key)
-        if value is None:
-            value = phi0_value(self.kernel, window)
-            self._memo[key] = value
-        return value
+def _phi0_memo(kernel: ComparisonKernel) -> Callable[[Sequence[Observation]], float]:
+    """The symmetrized kernel on atom windows, memoized by the window sorted by (x, y)."""
+    cached = functools.cache(lambda window: phi0_value(kernel, window))
+    return lambda window: cached(tuple(sorted(window, key=lambda obs: (obs.x, obs.y))))
 
 
 def true_delta(dist: DiscreteDistribution, kernel: ComparisonKernel) -> float:
@@ -107,7 +98,7 @@ def true_delta(dist: DiscreteDistribution, kernel: ComparisonKernel) -> float:
 
 def expected_phi0(dist: DiscreteDistribution, kernel: ComparisonKernel) -> float:
     """Exact mean of the symmetrized kernel; must agree with true_delta."""
-    phi0 = _Phi0Memo(kernel)
+    phi0 = _phi0_memo(kernel)
     terms = [w * phi0(tup) for tup, w in _iter_weighted_tuples(dist, kernel.m)]
     return math.fsum(terms)
 
@@ -117,7 +108,7 @@ def true_kappa_c(dist: DiscreteDistribution, kernel: ComparisonKernel, c: int) -
     m = kernel.m
     if not 1 <= c <= m:
         raise ValueError(f"overlap c must lie in 1..{m}, got {c}")
-    phi0 = _Phi0Memo(kernel)
+    phi0 = _phi0_memo(kernel)
     terms = [
         w * phi0(tup[:m]) * phi0(tup[m - c :])
         for tup, w in _iter_weighted_tuples(dist, 2 * m - c)
@@ -129,7 +120,7 @@ def true_theta2(dist: DiscreteDistribution, kernel: ComparisonKernel) -> float:
     """Exact mean of the disjoint-window product: the squared expected
     difference, computed without squaring."""
     m = kernel.m
-    phi0 = _Phi0Memo(kernel)
+    phi0 = _phi0_memo(kernel)
     terms = [
         w * phi0(tup[:m]) * phi0(tup[m:])
         for tup, w in _iter_weighted_tuples(dist, 2 * m)

@@ -34,6 +34,21 @@ def sample_ordered_subset(n: int, k: int, rng: np.random.Generator) -> tuple[int
     return tuple(out)
 
 
+def sample_ordered_subsets_reference(
+    n: int, k: int, count: int, rng: np.random.Generator
+) -> list[tuple[int, ...]]:
+    """Reference batch sampler: the same k column draws, one Fisher-Yates per draw."""
+    columns = [rng.integers(i, n, size=count) for i in range(k)]
+    draws = []
+    for d in range(count):
+        pool = list(range(1, n + 1))
+        for i in range(k):
+            j = int(columns[i][d])
+            pool[i], pool[j] = pool[j], pool[i]
+        draws.append(tuple(pool[:k]))
+    return draws
+
+
 class TestHypergeometricWeights:
     def test_small_case(self):
         w = hypergeometric_weights(4, 2)
@@ -163,6 +178,12 @@ class TestSampleOrderedSubsets:
             batch = sample_ordered_subsets(10, 3, 1, make_stream(seed))
             single = sample_ordered_subset(10, 3, make_stream(seed))
             assert batch == [single]
+
+    @pytest.mark.parametrize("n, k, count", [(60, 12, 10_000), (200, 42, 10)])
+    def test_batch_matches_reference_draw_for_draw(self, n, k, count):
+        for seed in (0, 5):
+            batch = sample_ordered_subsets(n, k, count, make_stream(seed))
+            assert batch == sample_ordered_subsets_reference(n, k, count, make_stream(seed))
 
     def test_deterministic_given_seed(self):
         a = sample_ordered_subsets(12, 5, 40, make_stream(21))

@@ -3,7 +3,15 @@ import math
 
 import pytest
 
+from ucompare import kernels
 from ucompare.dataset import Dataset
+from ucompare.estimators import (
+    COMPLETE,
+    INCOMPLETE,
+    EstimatorConfig,
+    estimate_delta,
+    estimate_variance,
+)
 from ucompare.kernels import ComparisonKernel, KernelEvaluator, phi0_value, phi_value
 from ucompare.learners import (
     Learner,
@@ -295,3 +303,62 @@ class TestKernelEvaluator:
     def test_kernel_requires_positive_g(self):
         with pytest.raises(ValueError, match="g"):
             ComparisonKernel(knn_learner(1), constant_learner(0), g=0)
+
+
+def eight_rows_of_five_atoms() -> Dataset:
+    """Rows 1-5 are distinct; row 6 repeats row 1, row 7 row 2, row 8 row 4."""
+    atoms = [(0.0, 1.0), (1.0, 0.0), (2.0, 2.0), (0.5, 1.5), (1.5, 0.5)]
+    labels = [0, 1, 1, 0, 1]
+    rows = [0, 1, 2, 3, 4, 0, 1, 3]
+    return Dataset.from_arrays([atoms[r] for r in rows], [labels[r] for r in rows])
+
+
+class TestMemoBound:
+    @pytest.mark.parametrize("mode", [COMPLETE, INCOMPLETE])
+    def test_results_do_not_depend_on_the_bound(self, mode, monkeypatch):
+        kernel = ComparisonKernel(knn_learner(1), stump_learner(), g=2)
+        config = EstimatorConfig(draws=200, seed=3, mode=mode)
+
+        def estimate():
+            ev = KernelEvaluator(kernel, eight_rows_of_five_atoms())
+            return estimate_delta(ev, config), estimate_variance(ev, config)
+
+        expected = estimate()
+        remember = kernels._remember
+        sizes = []
+
+        def recording_remember(memo, key, value):
+            stored = remember(memo, key, value)
+            sizes.append(len(memo))
+            return stored
+
+        monkeypatch.setattr(kernels, "MEMO_SIZE", 3)
+        monkeypatch.setattr(kernels, "_remember", recording_remember)
+        assert estimate() == expected
+        # Far more inserts than the bound, and no memo ever above it.
+        assert len(sizes) > 100
+        assert max(sizes) == 3
+
+    def test_learning_multiset_fitted_once_while_remembered(self, monkeypatch):
+        monkeypatch.setattr(kernels, "MEMO_SIZE", 3)
+        fitted = []
+
+        class CountingLearner(Learner):
+            def fit(self, learning_set):
+                fitted.append(tuple(sorted((obs.x, obs.y) for obs in learning_set)))
+                return knn_learner(1).fit(learning_set)
+
+        data = eight_rows_of_five_atoms()
+        ev = KernelEvaluator(ComparisonKernel(CountingLearner(), stump_learner(), g=2), data)
+        total = ev.phi_complement_total((1, 2))
+        assert total == sum(ev.phi((1, 2), t) for t in range(3, data.n + 1))
+        ev.phi((6, 7), 3)  # the same multiset as rows (1, 2)
+        assert len(fitted) == 1
+        ev.phi((3, 4), 1)
+        ev.phi((4, 5), 1)  # the memo now holds 3 multisets
+        assert ev.phi_complement_total((7, 6)) == total
+        assert len(fitted) == 3
+        ev.phi((3, 5), 1)  # a fourth multiset empties the memo first
+        assert len(fitted) == 4
+        assert ev.phi_complement_total((1, 2)) == total
+        assert len(fitted) == 5
