@@ -117,12 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     check_parser = sub.add_parser("oracle-check", help="run the exact self-check suite")
     check_parser.add_argument("--list", action="store_true", help="list scenarios and exit")
-    check_parser.add_argument(
-        "--inject-biased-theta2",
-        action="store_true",
-        help="debug: square the point estimate instead of using disjoint windows; "
-        "the unbiasedness check must then fail",
-    )
     check_parser.set_defaults(func=cmd_oracle_check)
     return parser
 
@@ -272,7 +266,7 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
         for scenario in builtin_scenarios():
             print(f"{scenario.name}: {scenario.description} (n={scenario.n})")
         return EXIT_OK
-    results = run_checks(biased_theta2=args.inject_biased_theta2)
+    results = run_checks()
     failed = 0
     for res in results:
         status = "PASS" if res.passed else "FAIL"

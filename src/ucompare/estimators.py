@@ -179,14 +179,10 @@ def _symmetrized_product(evaluator: KernelEvaluator, members: tuple[int, ...], c
     """
     m = evaluator.kernel.m
     values = []
-    for overlap in itertools.combinations(members, c):
-        overlap_set = set(overlap)
-        rest = [i for i in members if i not in overlap_set]
-        for first_rest in itertools.combinations(rest, m - c):
-            first_set = set(first_rest)
-            window_1 = overlap + first_rest
-            window_2 = overlap + tuple(i for i in rest if i not in first_set)
-            values.append(evaluator.phi0(window_1) * evaluator.phi0(window_2))
+    for first in itertools.combinations(members, m):
+        rest = tuple(i for i in members if i not in first)
+        for shared in itertools.combinations(first, c):
+            values.append(evaluator.phi0(first) * evaluator.phi0(shared + rest))
     return math.fsum(values) / len(values)
 
 

@@ -1,13 +1,13 @@
-"""Error-difference kernels: pointwise, symmetrized, and product forms.
+"""KernelEvaluator: the comparison kernels on one dataset, by row index, memoized.
 
-The pointwise kernel trains both algorithms on g observations and scores
-the difference of their misclassifications on one held-out observation, an
-integer in {-1, 0, 1}. The symmetrized kernel averages the g + 1 rotations of
-a size-(g+1) subset through the test position, which makes it invariant
-under permutations of the subset (the learners themselves are
-permutation-symmetric, so rotations are enough). Product kernels multiply
-two symmetrized evaluations on windows that overlap in exactly c positions;
-their means are the second-moment quantities behind the variance estimate.
+phi trains both algorithms on g rows and scores the difference of their
+misclassifications on one held-out row, an integer in {-1, 0, 1}. phi0, the
+symmetrized kernel, averages phi over the g + 1 rotations of a size-(g+1)
+subset through the test position, so it ignores the order of the subset.
+product multiplies phi0 on two windows that share exactly c positions; its
+means are the second-moment quantities behind the variance estimate. Equal
+row multisets share one memo entry. The scalar references on observations,
+which the evaluator is checked against, live in ucompare.oracle.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .dataset import Dataset, Observation
+from .dataset import Dataset
 from .learners import Learner, misclassification_loss
 
 # Entries a memo holds before it is emptied. Every reuse the benchmark
@@ -48,38 +48,6 @@ class ComparisonKernel:
     def m(self) -> int:
         """Subset size for the symmetrized kernel: g + 1."""
         return self.g + 1
-
-
-def phi_value(
-    kernel: ComparisonKernel,
-    learn_obs: Sequence[Observation],
-    test_obs: Observation,
-) -> int:
-    """Misclassification difference of the two fitted predictors at one test point."""
-    if len(learn_obs) != kernel.g:
-        raise ValueError(f"expected {kernel.g} learning observations, got {len(learn_obs)}")
-    pred_a = kernel.learner_a.fit(learn_obs)
-    pred_b = kernel.learner_b.fit(learn_obs)
-    return misclassification_loss(
-        pred_a.predict(test_obs.x), test_obs.y
-    ) - misclassification_loss(pred_b.predict(test_obs.x), test_obs.y)
-
-
-def phi0_value(kernel: ComparisonKernel, subset_obs: Sequence[Observation]) -> float:
-    """Symmetrized kernel on g + 1 observations.
-
-    Each position serves as the test point once, with the rest as the
-    learning set; the g + 1 evaluations are averaged.
-    """
-    m = kernel.m
-    if len(subset_obs) != m:
-        raise ValueError(f"expected {m} observations, got {len(subset_obs)}")
-    subset_obs = list(subset_obs)
-    values = [
-        phi_value(kernel, subset_obs[:i] + subset_obs[i + 1 :], subset_obs[i])
-        for i in range(m)
-    ]
-    return sum(values) / m
 
 
 def _remember(memo: dict, key, value):

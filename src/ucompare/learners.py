@@ -168,21 +168,17 @@ class _CentroidLearner(Learner):
     def fit(self, learning_set):
         if not learning_set:
             raise ValueError("cannot fit on an empty learning set")
-        by_label: dict[int, list[Observation]] = {0: [], 1: []}
+        by_label: dict[int, list[tuple]] = {0: [], 1: []}
         for obs in learning_set:
-            by_label[obs.y].append(obs)
+            by_label[obs.y].append(obs.x)
         if not by_label[0] or not by_label[1]:
-            present = 0 if by_label[0] else 1
-            return _ConstantPredictor(present)
-        dim = len(learning_set[0].x)
-        centroids = {}
-        for label, group in by_label.items():
-            # fsum per coordinate is exactly rounded, so the mean does not
-            # depend on the order of the rows.
-            centroids[label] = tuple(
-                math.fsum(obs.x[j] for obs in group) / len(group) for j in range(dim)
-            )
-        return _CentroidPredictor(centroids[0], centroids[1])
+            return _ConstantPredictor(0 if by_label[0] else 1)
+        # fsum per coordinate is exactly rounded, so the mean does not
+        # depend on the order of the rows.
+        centroid0, centroid1 = (
+            tuple(math.fsum(col) / len(rows) for col in zip(*rows)) for rows in by_label.values()
+        )
+        return _CentroidPredictor(centroid0, centroid1)
 
 
 def centroid_learner() -> Learner:

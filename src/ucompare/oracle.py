@@ -4,7 +4,9 @@ Everything here is exact up to float rounding: population quantities come
 from weighted sums over all ordered atom tuples, and estimator moments from
 weighted sums over all s^n datasets, both enumerated in mixed-radix order
 with product weights. These brute-force values are what the estimators are
-checked against.
+checked against. The module also holds the scalar pointwise and symmetrized
+kernels on observations, refitting on every call, as the independent
+reference for KernelEvaluator.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from typing import Callable, Iterator, Sequence
 from .dataset import Dataset, Observation
 from .designs import DEFAULT_ENUMERATION_BUDGET, BudgetExceededError, hypergeometric_weights
 from .estimators import COMPLETE, EstimatorConfig, _combine, estimate_delta, estimate_variance
-from .kernels import ComparisonKernel, KernelEvaluator, phi0_value, phi_value
+from .kernels import ComparisonKernel, KernelEvaluator
+from .learners import constant_learner, knn_learner, misclassification_loss
 
 
 @dataclass(frozen=True)
@@ -79,6 +82,38 @@ def _iter_weighted_tuples(
         yield tuple(obs[d] for d in digits), math.prod(probs[d] for d in digits)
 
 
+def phi_value(
+    kernel: ComparisonKernel,
+    learn_obs: Sequence[Observation],
+    test_obs: Observation,
+) -> int:
+    """Misclassification difference of the two fitted predictors at one test point."""
+    if len(learn_obs) != kernel.g:
+        raise ValueError(f"expected {kernel.g} learning observations, got {len(learn_obs)}")
+    pred_a = kernel.learner_a.fit(learn_obs)
+    pred_b = kernel.learner_b.fit(learn_obs)
+    return misclassification_loss(
+        pred_a.predict(test_obs.x), test_obs.y
+    ) - misclassification_loss(pred_b.predict(test_obs.x), test_obs.y)
+
+
+def phi0_value(kernel: ComparisonKernel, subset_obs: Sequence[Observation]) -> float:
+    """Symmetrized kernel on g + 1 observations.
+
+    Each position serves as the test point once, with the rest as the
+    learning set; the g + 1 evaluations are averaged.
+    """
+    m = kernel.m
+    if len(subset_obs) != m:
+        raise ValueError(f"expected {m} observations, got {len(subset_obs)}")
+    subset_obs = list(subset_obs)
+    values = [
+        phi_value(kernel, subset_obs[:i] + subset_obs[i + 1 :], subset_obs[i])
+        for i in range(m)
+    ]
+    return sum(values) / m
+
+
 def _phi0_memo(kernel: ComparisonKernel) -> Callable[[Sequence[Observation]], float]:
     """The symmetrized kernel on atom windows, memoized by the window sorted by (x, y)."""
     cached = functools.cache(lambda window: phi0_value(kernel, window))
@@ -103,11 +138,9 @@ def expected_phi0(dist: DiscreteDistribution, kernel: ComparisonKernel) -> float
     return math.fsum(terms)
 
 
-def true_kappa_c(dist: DiscreteDistribution, kernel: ComparisonKernel, c: int) -> float:
-    """Exact mean of the overlap-c product kernel over i.i.d. tuples."""
+def _true_product(dist: DiscreteDistribution, kernel: ComparisonKernel, c: int) -> float:
+    """Exact mean of the product kernel on two windows sharing c positions."""
     m = kernel.m
-    if not 1 <= c <= m:
-        raise ValueError(f"overlap c must lie in 1..{m}, got {c}")
     phi0 = _phi0_memo(kernel)
     terms = [
         w * phi0(tup[:m]) * phi0(tup[m - c :])
@@ -116,16 +149,18 @@ def true_kappa_c(dist: DiscreteDistribution, kernel: ComparisonKernel, c: int) -
     return math.fsum(terms)
 
 
+def true_kappa_c(dist: DiscreteDistribution, kernel: ComparisonKernel, c: int) -> float:
+    """Exact mean of the overlap-c product kernel over i.i.d. tuples."""
+    m = kernel.m
+    if not 1 <= c <= m:
+        raise ValueError(f"overlap c must lie in 1..{m}, got {c}")
+    return _true_product(dist, kernel, c)
+
+
 def true_theta2(dist: DiscreteDistribution, kernel: ComparisonKernel) -> float:
     """Exact mean of the disjoint-window product: the squared expected
     difference, computed without squaring."""
-    m = kernel.m
-    phi0 = _phi0_memo(kernel)
-    terms = [
-        w * phi0(tup[:m]) * phi0(tup[m:])
-        for tup, w in _iter_weighted_tuples(dist, 2 * m)
-    ]
-    return math.fsum(terms)
+    return _true_product(dist, kernel, 0)
 
 
 def exact_estimator_moments(
@@ -181,8 +216,6 @@ class OracleScenario:
 
 
 def builtin_scenarios() -> tuple[OracleScenario, ...]:
-    from .learners import constant_learner, knn_learner
-
     return (
         OracleScenario(
             name="knn1-vs-const0",
@@ -219,13 +252,8 @@ class CheckResult:
         return abs(self.residual) <= CHECK_TOLERANCE
 
 
-def run_checks(biased_theta2: bool = False) -> list[CheckResult]:
-    """Run the exact self-checks on the built-in scenarios.
-
-    biased_theta2 deliberately replaces the disjoint-window estimate with the
-    squared point estimate inside the variance estimator; the unbiasedness
-    check is then expected to fail, which demonstrates it has teeth.
-    """
+def run_checks() -> list[CheckResult]:
+    """Run the exact self-checks on the built-in scenarios."""
     results = []
     for sc in builtin_scenarios():
         kernel, dist, n = sc.kernel, sc.dist, sc.n
@@ -245,23 +273,11 @@ def run_checks(biased_theta2: bool = False) -> list[CheckResult]:
         results.append(
             CheckResult(sc.name, "variance-decomposition", var_delta_hat - decomposition)
         )
-
-        if biased_theta2:
-
-            def v_hat(ds: Dataset) -> float:
-                evaluator = KernelEvaluator(kernel, ds)
-                ve = estimate_variance(evaluator, config)
-                biased = estimate_delta(evaluator, config) ** 2
-                return _combine(ve.weights, ve.kappa_hats, biased)
-
-        else:
-
-            def v_hat(ds: Dataset) -> float:
-                return estimate_variance(KernelEvaluator(kernel, ds), config).v_hat
-
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            mean_v_hat, _ = exact_estimator_moments(dist, n, v_hat)
+            mean_v_hat, _ = exact_estimator_moments(
+                dist, n, lambda ds: estimate_variance(KernelEvaluator(kernel, ds), config).v_hat
+            )
         results.append(
             CheckResult(sc.name, "variance-estimate-unbiased", mean_v_hat - var_delta_hat)
         )

@@ -2,17 +2,27 @@
 
 The K-fold design and the tail bound behind --digits are reference objects
 for the acceptance criteria; sample_dataset draws replicate datasets from an
-oracle distribution.
+oracle distribution; squared_point_variance is a deliberately biased
+variance estimator that the self-checks must catch.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from typing import NamedTuple
 
 import numpy as np
 
 from ucompare.dataset import Dataset
+from ucompare.estimators import (
+    EstimatorConfig,
+    VarianceEstimate,
+    _combine,
+    estimate_delta,
+    estimate_variance,
+)
+from ucompare.kernels import KernelEvaluator
 from ucompare.oracle import DiscreteDistribution
 
 
@@ -69,3 +79,12 @@ def sample_dataset(dist: DiscreteDistribution, n: int, rng: np.random.Generator)
     picks = rng.choice(dist.support_size, size=n, p=dist.probabilities)
     obs = tuple(dist.observations[int(i)] for i in picks)
     return Dataset(obs, feature_dim=len(obs[0].x))
+
+
+def squared_point_variance(ev: KernelEvaluator, config: EstimatorConfig) -> VarianceEstimate:
+    """estimate_variance with the squared point estimate in place of the
+    disjoint-window estimate, which biases v_hat."""
+    ve = estimate_variance(ev, config)
+    return dataclasses.replace(
+        ve, v_hat=_combine(ve.weights, ve.kappa_hats, estimate_delta(ev, config) ** 2)
+    )

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from ucompare import cli, estimators
+from ucompare import cli, estimators, oracle
 from ucompare.cli import (
     EXIT_DEGENERATE,
     EXIT_INPUT,
@@ -13,6 +13,8 @@ from ucompare.cli import (
     main,
 )
 from ucompare.designs import hypergeometric_weights
+
+from support import squared_point_variance
 
 
 def write_csv(path, labels, features=None):
@@ -793,6 +795,22 @@ class TestOracleCheckCommand:
         assert len(out) == 8
         assert all(line.startswith("PASS") for line in out)
 
+    def test_golden_output(self, capsys):
+        # Every line, residuals included: a change to a reference or an
+        # estimator that moves any residual by one rounding shows here.
+        rc = main(["oracle-check"])
+        assert rc == EXIT_OK
+        assert capsys.readouterr().out == (
+            "PASS knn1-vs-const0/symmetrized-kernel-mean: residual=0.000e+00 tol=1.0e-10\n"
+            "PASS knn1-vs-const0/point-estimate-unbiased: residual=-1.388e-17 tol=1.0e-10\n"
+            "PASS knn1-vs-const0/variance-decomposition: residual=0.000e+00 tol=1.0e-10\n"
+            "PASS knn1-vs-const0/variance-estimate-unbiased: residual=0.000e+00 tol=1.0e-10\n"
+            "PASS mirror-constants/symmetrized-kernel-mean: residual=0.000e+00 tol=1.0e-10\n"
+            "PASS mirror-constants/point-estimate-unbiased: residual=0.000e+00 tol=1.0e-10\n"
+            "PASS mirror-constants/variance-decomposition: residual=0.000e+00 tol=1.0e-10\n"
+            "PASS mirror-constants/variance-estimate-unbiased: residual=0.000e+00 tol=1.0e-10\n"
+        )
+
     def test_scenario_listing(self, capsys):
         rc = main(["oracle-check", "--list"])
         out = capsys.readouterr().out
@@ -800,8 +818,9 @@ class TestOracleCheckCommand:
         assert "knn1-vs-const0" in out
         assert "mirror-constants" in out
 
-    def test_injected_bias_is_detected(self, capsys):
-        rc = main(["oracle-check", "--inject-biased-theta2"])
+    def test_injected_bias_is_detected(self, capsys, monkeypatch):
+        monkeypatch.setattr(oracle, "estimate_variance", squared_point_variance)
+        rc = main(["oracle-check"])
         captured = capsys.readouterr()
         assert rc == EXIT_INPUT
         assert "FAIL" in captured.out

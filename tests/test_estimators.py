@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -29,6 +30,13 @@ def four_rows() -> Dataset:
     return Dataset.from_arrays(
         [(0.0,), (1.0,), (2.0,), (3.0,)],
         [0, 1, 1, 0],
+    )
+
+
+def six_rows() -> Dataset:
+    return Dataset.from_arrays(
+        [(0.0,), (1.0,), (2.0,), (3.0,), (4.0,), (5.0,)],
+        [0, 1, 1, 0, 1, 0],
     )
 
 
@@ -212,20 +220,22 @@ class TestSecondMomentEstimates:
         value = estimate_kappa_c(knn_vs_const_on(four_rows()), 1, complete_config())
         assert value == pytest.approx(-1 / 12, abs=1e-15)
 
-    def test_overlap_one_matches_ordered_window_average(self):
-        data = four_rows()
-        kernel = knn_vs_const()
-        ev = KernelEvaluator(kernel, data)
-        products = []
-        for i in range(1, 5):
-            for j in range(1, 5):
-                for k in range(1, 5):
-                    if len({i, j, k}) == 3:
-                        products.append(
-                            ev.phi0((i, j)) * ev.phi0((j, k))
-                        )
+    @pytest.mark.parametrize("g, c", [(1, c) for c in range(3)] + [(2, c) for c in range(4)])
+    def test_overlap_matches_ordered_window_average(self, g, c):
+        # The complete estimate picks window pairs within each subset; it
+        # must equal the product kernel averaged over every ordered tuple.
+        data = four_rows() if g == 1 else six_rows()
+        ev = knn_vs_const_on(data, g)
+        m = g + 1
+        products = [
+            ev.phi0(t[:m]) * ev.phi0(t[m - c :])
+            for t in itertools.permutations(range(1, data.n + 1), 2 * m - c)
+        ]
         expected = math.fsum(products) / len(products)
-        value = estimate_kappa_c(ev, 1, complete_config())
+        if c == 0:
+            value = estimate_theta2(ev, complete_config())
+        else:
+            value = estimate_kappa_c(ev, c, complete_config())
         assert value == pytest.approx(expected, abs=1e-15)
 
     def test_disjoint_window_complete_value(self):

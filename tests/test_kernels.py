@@ -12,7 +12,7 @@ from ucompare.estimators import (
     estimate_delta,
     estimate_variance,
 )
-from ucompare.kernels import ComparisonKernel, KernelEvaluator, phi0_value, phi_value
+from ucompare.kernels import ComparisonKernel, KernelEvaluator
 from ucompare.learners import (
     Learner,
     Predictor,
@@ -21,6 +21,7 @@ from ucompare.learners import (
     knn_learner,
     stump_learner,
 )
+from ucompare.oracle import phi0_value, phi_value
 
 
 class BatchCountingLearner(Learner):

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from ucompare import oracle
 from ucompare.dataset import Observation
 from ucompare.designs import BudgetExceededError, make_stream
 from ucompare.estimators import EstimatorConfig, estimate_delta
@@ -20,7 +21,7 @@ from ucompare.oracle import (
     true_theta2,
 )
 
-from support import sample_dataset
+from support import sample_dataset, squared_point_variance
 
 TWO_ATOMS = DiscreteDistribution.from_rows([((0.0,), 0, 0.6), ((1.0,), 1, 0.4)])
 
@@ -205,11 +206,12 @@ class TestSelfChecks:
             "variance-estimate-unbiased",
         }
 
-    def test_biased_square_is_caught(self):
+    def test_biased_square_is_caught(self, monkeypatch):
         # Replacing the disjoint-window estimate with the squared point
         # estimate biases the variance estimate; the unbiasedness check must
         # fail on every scenario, and only that check.
-        results = run_checks(biased_theta2=True)
+        monkeypatch.setattr(oracle, "estimate_variance", squared_point_variance)
+        results = run_checks()
         failing = [r for r in results if not r.passed]
         assert failing
         assert all(r.name == "variance-estimate-unbiased" for r in failing)
