@@ -18,6 +18,10 @@ DEFAULT_ENUMERATION_BUDGET = 10**6
 #: Largest per-statistic draw budget a run accepts.
 MAX_DRAWS = 10**18
 
+# Pool entries (int32) the batch sampler shuffles at a time; this bounds its
+# working memory beyond the draws it returns.
+_POOL_CHUNK_ELEMENTS = 2**14
+
 #: Identifier of the random stream algorithm, recorded in reports.
 RNG_ALGORITHM = "numpy-pcg64-seedseq"
 
@@ -73,22 +77,28 @@ def sample_ordered_subsets(
     Each draw is a partial Fisher-Yates shuffle. The stream is consumed one
     position at a time across the whole batch, which needs k generator calls
     instead of count * k; a fixed stream state reproduces the batch exactly.
+    The shuffles run on chunks of at most _POOL_CHUNK_ELEMENTS pool entries,
+    one row per draw, one column swap per position.
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count!r}")
-    # memoryview iteration yields Python ints without a per-element numpy scalar.
-    columns = [memoryview(rng.integers(i, n, size=count)) for i in range(k)]
-    base = list(range(1, n + 1))
+    columns = [rng.integers(i, n, size=count) for i in range(k)]
+    base = np.arange(1, n + 1, dtype=np.int32)
+    chunk_rows = max(1, _POOL_CHUNK_ELEMENTS // n)
     draws = []
-    for picks in zip(*columns):
-        pool = base.copy()
-        out = []
-        for i, j in enumerate(picks):
-            pool[i], pool[j] = pool[j], pool[i]
-            out.append(pool[i])
-        draws.append(tuple(out))
+    for start in range(0, count, chunk_rows):
+        stop = min(start + chunk_rows, count)
+        pool = np.tile(base, (stop - start, 1))
+        rows = np.arange(stop - start)
+        for i, picks in enumerate(columns):
+            j = picks[start:stop]
+            picked = pool[rows, j]
+            pool[rows, j] = pool[:, i]
+            pool[:, i] = picked
+        # One Python list per position; zip turns them into the draw tuples.
+        draws.extend(zip(*pool[:, :k].T.tolist()))
     return draws
 
 

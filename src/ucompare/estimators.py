@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -170,20 +171,35 @@ def estimate_delta(evaluator: KernelEvaluator, config: EstimatorConfig) -> float
     return math.fsum(totals) / (config.draws * (n - g))
 
 
-def _symmetrized_product(evaluator: KernelEvaluator, members: tuple[int, ...], c: int) -> float:
+def _window_pairs(m: int, c: int) -> list[tuple[Callable, Callable]]:
+    """Ordered pairs of size-m windows sharing c positions, over a size-(2m - c) subset.
+
+    Each pair is two itemgetters over the subset's positions: the first
+    window, then its c shared positions followed by the m - c positions
+    outside it. The order (first window, then shared positions, both in
+    combinations order) fixes the summation order of _symmetrized_product.
+    """
+    positions = range(2 * m - c)
+    pairs = []
+    for first in itertools.combinations(positions, m):
+        rest = tuple(p for p in positions if p not in first)
+        for shared in itertools.combinations(first, c):
+            pairs.append((operator.itemgetter(*first), operator.itemgetter(*shared, *rest)))
+    return pairs
+
+
+def _symmetrized_product(
+    evaluator: KernelEvaluator, members: tuple[int, ...], pairs: list[tuple[Callable, Callable]]
+) -> float:
     """Average the overlap-c product kernel over all window choices in a subset.
 
-    Equivalent to averaging the ordered-tuple product kernel over every
-    ordering of the subset, because the symmetrized kernel ignores order
-    within each window.
+    pairs is _window_pairs(m, c). Equivalent to averaging the ordered-tuple
+    product kernel over every ordering of the subset, because the
+    symmetrized kernel ignores order within each window.
     """
-    m = evaluator.kernel.m
-    values = []
-    for first in itertools.combinations(members, m):
-        rest = tuple(i for i in members if i not in first)
-        for shared in itertools.combinations(first, c):
-            values.append(evaluator.phi0(first) * evaluator.phi0(shared + rest))
-    return math.fsum(values) / len(values)
+    phi0 = evaluator.phi0
+    values = [phi0(first(members)) * phi0(second(members)) for first, second in pairs]
+    return math.fsum(values) / len(pairs)
 
 
 def _estimate_product(
@@ -193,8 +209,9 @@ def _estimate_product(
     degree = 2 * evaluator.kernel.m - c
     _require_degree(n, degree, f"the overlap-{c} product statistic")
     if config.mode == COMPLETE:
+        pairs = _window_pairs(evaluator.kernel.m, c)
         return complete_u_statistic(
-            lambda members: _symmetrized_product(evaluator, members, c), n, degree
+            lambda members: _symmetrized_product(evaluator, members, pairs), n, degree
         )
     return incomplete_u_statistic(
         lambda t: evaluator.product(t, c),

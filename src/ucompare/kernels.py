@@ -21,10 +21,12 @@ from .learners import Learner, misclassification_loss
 # Entries a memo holds before it is emptied. Every reuse the benchmark
 # workloads and the tests show fits in under 2,000 keys (sampled-duplicates:
 # at most 1,716 phi0 keys and 787 learning multisets; complete-enum: 680 and
-# 136). A complete run that finishes within about an hour (n = 22, g = 4)
+# 136). A complete run that finishes within about 35 minutes (n = 22, g = 4)
 # needs at most C(22, 5) = 26,334 phi0 entries; the cheapest complete run with
 # more entries that passes the enumeration budget (n = 20, g = 5) makes about
-# 3 * 10^9 phi0 lookups, roughly two hours.
+# 3 * 10^9 phi0 lookups, about 75 minutes at the rate of the benchmark's
+# complete-enum workload on a shared 2-core Xeon host (about 650,000 lookups
+# per second).
 MEMO_SIZE = 2**15
 
 
@@ -80,20 +82,21 @@ class KernelEvaluator:
             )
         self.kernel = kernel
         self.data = data
+        self._m = kernel.m
         first_row: dict[tuple, int] = {}
-        # A dict, not a list: a negative index must fail, not wrap around.
+        # A dict's lookup, not a list's: a negative index must fail, not wrap
+        # around. Bound once, because every kernel request calls it.
         self._class_of = {
             i: first_row.setdefault((obs.x, obs.y), i)
             for i, obs in enumerate(data.observations, start=1)
-        }
+        }.__getitem__
         self._phi0s: dict[tuple, float] = {}
         self._learned: dict[tuple, list] = {}
 
     def _key(self, indices: Iterable[int]) -> tuple[int, ...]:
         """Sorted class ids of the rows at indices; IndexError outside 1..n."""
-        class_of = self._class_of
         try:
-            return tuple(sorted([class_of[i] for i in indices]))
+            return tuple(sorted(map(self._class_of, indices)))
         except KeyError as exc:
             raise IndexError(f"index {exc.args[0]!r} outside 1..{self.data.n}") from None
 
@@ -129,7 +132,7 @@ class KernelEvaluator:
 
     def phi0(self, member_indices: Sequence[int]) -> float:
         """Symmetrized kernel over a subset, memoized by its class-id key."""
-        m = self.kernel.m
+        m = self._m
         key = self._key(member_indices)
         if len(key) != m or len(set(member_indices)) != m:
             raise ValueError(f"need {m} distinct indices, got {tuple(member_indices)}")

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ucompare.designs import (
+    _POOL_CHUNK_ELEMENTS,
     hypergeometric_weights,
     iterations_for_digits,
     make_stream,
@@ -179,11 +180,25 @@ class TestSampleOrderedSubsets:
             single = sample_ordered_subset(10, 3, make_stream(seed))
             assert batch == [single]
 
-    @pytest.mark.parametrize("n, k, count", [(60, 12, 10_000), (200, 42, 10)])
+    @pytest.mark.parametrize(
+        "n, k, count",
+        [
+            (60, 12, 10_000),
+            (200, 42, 10),
+            # Three full chunks of the shuffle pool and a partial fourth.
+            (60, 6, 3 * (_POOL_CHUNK_ELEMENTS // 60) + 5),
+            # Rows so long that a chunk holds a single draw.
+            (_POOL_CHUNK_ELEMENTS // 2 + 1, 5, 3),
+            # Full permutations.
+            (30, 30, 1_000),
+        ],
+    )
     def test_batch_matches_reference_draw_for_draw(self, n, k, count):
         for seed in (0, 5):
             batch = sample_ordered_subsets(n, k, count, make_stream(seed))
             assert batch == sample_ordered_subsets_reference(n, k, count, make_stream(seed))
+            assert all(type(draw) is tuple for draw in batch)
+            assert all(type(i) is int for draw in batch for i in draw)
 
     def test_deterministic_given_seed(self):
         a = sample_ordered_subsets(12, 5, 40, make_stream(21))

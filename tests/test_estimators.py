@@ -15,6 +15,7 @@ from ucompare.estimators import (
     INCOMPLETE,
     EstimatorConfig,
     SampleTooSmallError,
+    _window_pairs,
     complete_u_statistic,
     estimate_delta,
     estimate_kappa_c,
@@ -237,6 +238,22 @@ class TestSecondMomentEstimates:
         else:
             value = estimate_kappa_c(ev, c, complete_config())
         assert value == pytest.approx(expected, abs=1e-15)
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_window_pairs_keep_the_nested_loop_order(self, m):
+        # The window pairs fix the summation order of the complete product
+        # statistic, so they must come in the order of this nested loop for
+        # its fsum to stay bit-identical.
+        for c in range(m + 1):
+            members = (40, 7, 23, 11, 35, 2, 19, 30)[: 2 * m - c]
+            expected = []
+            for first in itertools.combinations(members, m):
+                rest = tuple(i for i in members if i not in first)
+                for shared in itertools.combinations(first, c):
+                    expected.append((first, shared + rest))
+            pairs = [(first(members), second(members)) for first, second in _window_pairs(m, c)]
+            assert pairs == expected
+            assert len(pairs) == math.comb(2 * m - c, c) * math.comb(2 * m - 2 * c, m - c)
 
     def test_disjoint_window_complete_value(self):
         # The three pairings of {1,2,3,4} into two disjoint pairs give

@@ -235,6 +235,25 @@ class TestKernelEvaluator:
             with pytest.raises(IndexError):
                 ev.phi_complement_total((bad,))
 
+    def test_checks_run_on_memo_hits(self):
+        # Rows 1 and 4 carry the same observation, so (1, 1, 2) has the key of
+        # the cached (1, 4, 2): the memo must not answer for repeated indices.
+        data = Dataset.from_arrays(
+            [(0.0,), (1.0,), (2.0,), (0.0,), (3.0,)],
+            [0, 1, 1, 0, 0],
+        )
+        ev = KernelEvaluator(knn_vs_const(2), data)
+        ev.phi0((1, 4, 2))
+        with pytest.raises(ValueError, match="distinct"):
+            ev.phi0((1, 1, 2))
+        with pytest.raises(ValueError, match="distinct"):
+            ev.product((1, 1, 2, 4), 2)
+        with pytest.raises(ValueError, match="distinct"):
+            ev.product((1, 4, 2, 1, 4, 2), 0)
+        for bad in (0, -1, data.n + 1):
+            with pytest.raises(IndexError):
+                ev.phi0((1, bad, 2))
+
     def test_complement_total_matches_explicit_sum(self):
         data = Dataset.from_arrays(
             [(float(i), float((i * 7) % 5)) for i in range(10)],
