@@ -175,8 +175,11 @@ def _window_pairs(m: int, c: int) -> list[tuple[Callable, Callable]]:
     """Ordered pairs of size-m windows sharing c positions, over a size-(2m - c) subset.
 
     Each pair is two itemgetters over the subset's positions: the first
-    window, then its c shared positions followed by the m - c positions
-    outside it. The order (first window, then shared positions, both in
+    window, then the second, made of c shared positions and the m - c
+    positions outside the first window. Both windows list their positions
+    in ascending order, so on an ascending subset every phi0 request is an
+    ascending tuple, which the evaluator answers by the request itself.
+    The pair order (first window, then shared positions, both in
     combinations order) fixes the summation order of _symmetrized_product.
     """
     positions = range(2 * m - c)
@@ -184,7 +187,8 @@ def _window_pairs(m: int, c: int) -> list[tuple[Callable, Callable]]:
     for first in itertools.combinations(positions, m):
         rest = tuple(p for p in positions if p not in first)
         for shared in itertools.combinations(first, c):
-            pairs.append((operator.itemgetter(*first), operator.itemgetter(*shared, *rest)))
+            second = sorted(shared + rest)
+            pairs.append((operator.itemgetter(*first), operator.itemgetter(*second)))
     return pairs
 
 

@@ -21,12 +21,13 @@ from .learners import Learner, misclassification_loss
 # Entries a memo holds before it is emptied. Every reuse the benchmark
 # workloads and the tests show fits in under 2,000 keys (sampled-duplicates:
 # at most 1,716 phi0 keys and 787 learning multisets; complete-enum: 680 and
-# 136). A complete run that finishes within about 35 minutes (n = 22, g = 4)
-# needs at most C(22, 5) = 26,334 phi0 entries; the cheapest complete run with
-# more entries that passes the enumeration budget (n = 20, g = 5) makes about
-# 3 * 10^9 phi0 lookups, about 75 minutes at the rate of the benchmark's
-# complete-enum workload on a shared 2-core Xeon host (about 650,000 lookups
-# per second).
+# 136). Complete mode keys exactly the C(n, m) subsets when no two rows are
+# equal, and fewer otherwise. A complete run that finishes within about 17
+# minutes (n = 22, g = 4) needs at most C(22, 5) = 26,334 phi0 entries; the
+# cheapest complete run with more entries that passes the enumeration budget
+# (n = 20, g = 5) makes about 3 * 10^9 phi0 lookups, about 37 minutes at the
+# rate of the benchmark's complete-enum workload on a 2-core Xeon host (about
+# 1.35 million lookups per second).
 MEMO_SIZE = 2**15
 
 
@@ -70,6 +71,11 @@ class KernelEvaluator:
     `_phi0s` maps a subset's key to its symmetrized value, and `_learned` maps
     a learning multiset's key to the list [predictor a, predictor b, complement
     total], where the total stays None until phi_complement_total computes it.
+    The row a class id names has that id as its own, so an ascending request
+    of distinct class representatives is its own key: phi0 probes `_phi0s`
+    with the request before building a key. Complete mode requests exactly
+    the C(n, m) subsets, each as an ascending tuple; when no two rows are
+    equal, each is its own key and every repeat is answered by that probe.
     Each holds at most MEMO_SIZE entries and is emptied when an insert finds it
     full, so a run at any budget keeps bounded memory. Evaluation is
     single-threaded.
@@ -131,8 +137,23 @@ class KernelEvaluator:
         )
 
     def phi0(self, member_indices: Sequence[int]) -> float:
-        """Symmetrized kernel over a subset, memoized by its class-id key."""
+        """Symmetrized kernel over a subset, memoized by its class-id key.
+
+        The request itself is looked up first. A cached key is a sorted
+        tuple of class ids, and the row a class id names has that id as its
+        own, so a request equal to a cached key is its own key once its m
+        entries are distinct. A key cached with repeated class ids, such as
+        (1, 1, 2), therefore never answers the repeated request (1, 1, 2).
+        Every other request (a miss, a list, an unordered tuple) builds its
+        key and runs the full checks.
+        """
         m = self._m
+        try:
+            result = self._phi0s.get(member_indices)
+        except TypeError:  # unhashable, such as a list
+            result = None
+        if result is not None and len(set(member_indices)) == m:
+            return result
         key = self._key(member_indices)
         if len(key) != m or len(set(member_indices)) != m:
             raise ValueError(f"need {m} distinct indices, got {tuple(member_indices)}")

@@ -10,6 +10,7 @@ tie-breaking below is explicit rather than incidental.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
 from itertools import accumulate
 from typing import Sequence
@@ -35,12 +36,22 @@ def _canonical(learning_set: Sequence[Observation]) -> list[Observation]:
     return sorted(learning_set, key=lambda obs: (obs.x, obs.y))
 
 
+def _squared_distance(x: Sequence[float], p: Sequence[float]) -> float:
+    """Sum of squared coordinate differences, each squared as d * d.
+
+    d * d is correctly rounded, as numpy's ** 2 on the batch paths is; a
+    Python float's d ** 2 goes through libm pow, which can land one unit in
+    the last place away and so flip a near-tie between the two paths.
+    """
+    return sum(d * d for d in map(operator.sub, x, p))
+
+
 def _check_finite(largest_squared_distance: float) -> None:
     """Raise OverflowError when the largest squared distance is inf.
 
     Distances past the float limit cannot be ranked. This covers a difference
-    that overflowed to inf and a sum of squares that overflowed; a Python
-    float square past the limit already raises by itself.
+    that overflowed to inf, a square that overflowed and a sum of squares
+    that overflowed.
     """
     if largest_squared_distance == math.inf:
         raise OverflowError("squared distance exceeds the float range")
@@ -99,10 +110,7 @@ class _KnnPredictor(Predictor):
 
     def predict(self, x):
         x = tuple(x)
-        d2 = [
-            sum((a - b) ** 2 for a, b in zip(x, p))
-            for p in self.points
-        ]
+        d2 = [_squared_distance(x, p) for p in self.points]
         # Stable sort: equal distances resolve to the smaller canonical index.
         order = sorted(range(len(d2)), key=d2.__getitem__)
         _check_finite(d2[order[-1]])
@@ -150,8 +158,8 @@ class _CentroidPredictor(Predictor):
 
     def predict(self, x):
         x = tuple(x)
-        d0 = sum((a - b) ** 2 for a, b in zip(x, self.centroid0))
-        d1 = sum((a - b) ** 2 for a, b in zip(x, self.centroid1))
+        d0 = _squared_distance(x, self.centroid0)
+        d1 = _squared_distance(x, self.centroid1)
         _check_finite(max(d0, d1))
         return 1 if d1 < d0 else 0
 

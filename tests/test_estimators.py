@@ -243,17 +243,41 @@ class TestSecondMomentEstimates:
     def test_window_pairs_keep_the_nested_loop_order(self, m):
         # The window pairs fix the summation order of the complete product
         # statistic, so they must come in the order of this nested loop for
-        # its fsum to stay bit-identical.
+        # its fsum to stay bit-identical. The second window lists its
+        # members at ascending positions.
         for c in range(m + 1):
             members = (40, 7, 23, 11, 35, 2, 19, 30)[: 2 * m - c]
             expected = []
             for first in itertools.combinations(members, m):
                 rest = tuple(i for i in members if i not in first)
                 for shared in itertools.combinations(first, c):
-                    expected.append((first, shared + rest))
+                    second = tuple(i for i in members if i in shared + rest)
+                    expected.append((first, second))
             pairs = [(first(members), second(members)) for first, second in _window_pairs(m, c)]
             assert pairs == expected
             assert len(pairs) == math.comb(2 * m - c, c) * math.comb(2 * m - 2 * c, m - c)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_complete_mode_requests_ascending_subsets(self, g):
+        # Every phi0 request of a complete run is an ascending tuple, so on
+        # duplicate-free data the evaluator answers each repeat by the
+        # request itself, and the requests are exactly the C(n, g + 1)
+        # subsets.
+        n = 2 * g + 3
+        ev = knn_vs_const_on(alternating_rows(n), g)
+        requests = []
+        inner = ev.phi0
+
+        def logged(members):
+            requests.append(members)
+            return inner(members)
+
+        ev.phi0 = logged
+        estimate_delta(ev, complete_config())
+        estimate_variance(ev, complete_config())
+        assert all(type(r) is tuple and list(r) == sorted(r) for r in requests)
+        assert len(set(requests)) == math.comb(n, g + 1)
 
     def test_disjoint_window_complete_value(self):
         # The three pairings of {1,2,3,4} into two disjoint pairs give

@@ -254,6 +254,23 @@ class TestKernelEvaluator:
             with pytest.raises(IndexError):
                 ev.phi0((1, bad, 2))
 
+    def test_request_probe_agrees_with_class_key(self):
+        # Rows 4 and 5 repeat rows 1 and 2, so (1, 2, 6) is an ascending
+        # request of class representatives, answered by the request itself
+        # once cached, and (4, 5, 6), (6, 5, 1) name the same multiset.
+        data = Dataset.from_arrays(
+            [(0.0,), (1.0,), (2.0,), (0.0,), (1.0,), (3.0,)],
+            [0, 1, 1, 0, 1, 0],
+        )
+        kernel = knn_vs_const(2)
+        expected = phi0_value(kernel, data.subset((1, 2, 6)))
+        assert expected != 0.0
+        equal_requests = [(1, 2, 6), (4, 5, 6), (6, 5, 1), [1, 2, 6], [6, 4, 2]]
+        for first in range(len(equal_requests)):
+            ev = KernelEvaluator(kernel, data)
+            order = equal_requests[first:] + equal_requests[:first]
+            assert [ev.phi0(r) for r in order + order] == [expected] * (2 * len(order))
+
     def test_complement_total_matches_explicit_sum(self):
         data = Dataset.from_arrays(
             [(float(i), float((i * 7) % 5)) for i in range(10)],

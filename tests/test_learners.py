@@ -130,6 +130,34 @@ class TestDistanceOverflow:
                 learner.fit(learning).predict_batch(xs)
 
 
+class TestScalarMatchesBatchOnNearTies:
+    """predict and predict_batch square each difference with the same rounding."""
+
+    def test_knn_one_ulp_square(self):
+        # d ** 2 (libm pow) of d = 0.0 - Q[0] lands one unit in the last
+        # place below d * d, which made Q nearer on the scalar path.
+        p = (-1.4359553057260184, -0.17304309345480484)
+        q = (-0.8513113416860458, -1.1692649621671793)
+        pred = knn_learner(1).fit(obs((p, 1), (q, 0)))
+        assert pred.predict((0.0, 0.0)) == pred.predict_batch([(0.0, 0.0)])[0] == 1
+
+    @pytest.mark.parametrize("learner", [knn_learner(1), centroid_learner()], ids=["knn1", "centroid"])
+    def test_constructed_near_ties(self, learner):
+        # Q lies on the circle through P around the query, then moves by at
+        # most one unit in the last place per coordinate, so the two squared
+        # distances agree to the last bits. One row per class makes the
+        # centroids P and Q themselves.
+        rng = np.random.default_rng(20261018)
+        for _ in range(10_000):
+            x, p = rng.normal(size=2), rng.normal(size=2)
+            angle = rng.uniform(0.0, 2 * np.pi)
+            q = x + np.hypot(*(p - x)) * np.array([np.cos(angle), np.sin(angle)])
+            q = np.nextafter(q, q + rng.integers(-1, 2, size=2))
+            x, p, q = (tuple(map(float, v)) for v in (x, p, q))
+            pred = learner.fit(obs((p, 1), (q, 0)))
+            assert pred.predict(x) == pred.predict_batch([x])[0], (x, p, q)
+
+
 class TestStump:
     def test_separable_split(self):
         pred = stump_learner().fit(obs((0.0, 0), (1.0, 0), (2.0, 1), (3.0, 1)))
