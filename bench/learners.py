@@ -19,8 +19,11 @@ from ucompare.learners import parse_learner
 
 LEARNERS = ("knn:3", "centroid", "stump", "const:0")
 # (g, d, n): learning-set size, features, query rows, as in the workloads
-# sampled-small-g and sampled-duplicates, sampled-large-g, complete-enum.
-SHAPES = ((5, 3, 60), (20, 5, 200), (2, 2, 17))
+# sampled-small-g and sampled-duplicates, sampled-large-g, complete-enum. The
+# last shape matches no workload: it times the batch distance at 8 features,
+# the fewest at which numpy's sum over an axis would add pairwise; there the
+# batch path's column-by-column sum makes 8 numpy adds where one sum did.
+SHAPES = ((5, 3, 60), (20, 5, 200), (2, 2, 17), (5, 8, 60))
 REPEATS = 5
 SEED = 0
 SETS = 200  # learning sets per shape

@@ -5,11 +5,8 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
-
-import numpy as np
 
 
 class DatasetFormatError(ValueError):
@@ -67,11 +64,6 @@ class Dataset:
     def subset(self, indices: Iterable[int]) -> tuple[Observation, ...]:
         """Observations at the given 1-based indices, in the given order."""
         return tuple(self.observation(i) for i in indices)
-
-    @cached_property
-    def feature_matrix(self) -> np.ndarray:
-        """(n, feature_dim) float array of all features; row i at [i - 1]."""
-        return np.array([obs.x for obs in self.observations], dtype=float)
 
     @property
     def labels(self) -> tuple[int, ...]:

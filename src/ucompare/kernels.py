@@ -172,14 +172,16 @@ class KernelEvaluator:
 
         The learning indices are distinct and rows with equal (x, y) have
         equal values, so the total depends only on the learning multiset and
-        takes one batch prediction pass per multiset.
+        takes one predict_batch call per predictor and multiset, on every
+        row's `Observation.x`, the tuple phi passes to predict.
         """
         self._check_learning(learn_indices)
         entry = self._learned_entry(learn_indices)
         if entry[2] is None:
             pred_a, pred_b, _ = entry
-            out_a = pred_a.predict_batch(self.data.feature_matrix)
-            out_b = pred_b.predict_batch(self.data.feature_matrix)
+            xs = [obs.x for obs in self.data.observations]
+            out_a = pred_a.predict_batch(xs)
+            out_b = pred_b.predict_batch(xs)
             rows = [
                 misclassification_loss(a, obs.y) - misclassification_loss(b, obs.y)
                 for a, b, obs in zip(out_a, out_b, self.data.observations)

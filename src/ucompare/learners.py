@@ -39,7 +39,7 @@ def _canonical(learning_set: Sequence[Observation]) -> list[Observation]:
 def _squared_distance(x: Sequence[float], p: Sequence[float]) -> float:
     """Sum of squared coordinate differences, each squared as d * d.
 
-    d * d is correctly rounded, as numpy's ** 2 on the batch paths is; a
+    d * d is correctly rounded, as numpy's ** 2 on the batch path is; a
     Python float's d ** 2 goes through libm pow, which can land one unit in
     the last place away and so flip a near-tie between the two paths.
     """
@@ -64,6 +64,7 @@ class Predictor:
         raise NotImplementedError
 
     def predict_batch(self, xs: Sequence[Sequence[float]]) -> list[int]:
+        """Labels of the rows xs, each the tuple `Observation.x` that predict receives."""
         return [self.predict(x) for x in xs]
 
 
@@ -80,9 +81,6 @@ class _ConstantPredictor(Predictor):
 
     def predict(self, x):
         return self.label
-
-    def predict_batch(self, xs):
-        return [self.label] * len(xs)
 
 
 class _ConstantLearner(Learner):
@@ -103,7 +101,7 @@ def constant_learner(label: int) -> Learner:
 
 
 class _KnnPredictor(Predictor):
-    def __init__(self, points: list[tuple[float, ...]], labels: list[int], k: int):
+    def __init__(self, points: Sequence[tuple[float, ...]], labels: Sequence[int], k: int):
         self.points = points
         self.labels = labels
         self.k = k
@@ -120,8 +118,12 @@ class _KnnPredictor(Predictor):
     def predict_batch(self, xs):
         q = np.asarray(xs, dtype=float)
         points = np.array(self.points, dtype=float)
+        # Columns are added left to right, as _squared_distance adds them;
+        # numpy's sum over an axis adds pairwise from 8 terms up.
+        d2 = np.zeros((len(q), len(points)))
         with np.errstate(over="ignore"):
-            d2 = ((q[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
+            for j in range(points.shape[1]):
+                d2 += (q[:, j, None] - points[None, :, j]) ** 2
         _check_finite(d2.max())
         order = np.argsort(d2, axis=1, kind="stable")[:, : self.k]
         votes = np.asarray(self.labels)[order].sum(axis=1)
@@ -151,25 +153,8 @@ def knn_learner(k: int) -> Learner:
     return _KnnLearner(k)
 
 
-class _CentroidPredictor(Predictor):
-    def __init__(self, centroid0: tuple[float, ...], centroid1: tuple[float, ...]):
-        self.centroid0 = centroid0
-        self.centroid1 = centroid1
-
-    def predict(self, x):
-        x = tuple(x)
-        d0 = _squared_distance(x, self.centroid0)
-        d1 = _squared_distance(x, self.centroid1)
-        _check_finite(max(d0, d1))
-        return 1 if d1 < d0 else 0
-
-    def predict_batch(self, xs):
-        q = np.asarray(xs, dtype=float)
-        with np.errstate(over="ignore"):
-            d0 = ((q - np.array(self.centroid0)) ** 2).sum(axis=1)
-            d1 = ((q - np.array(self.centroid1)) ** 2).sum(axis=1)
-        _check_finite(max(d0.max(), d1.max()))
-        return [1 if b < a else 0 for a, b in zip(d0, d1)]
+# The labels of a centroid predictor's two points, shared by every fit.
+_CENTROID_LABELS = (0, 1)
 
 
 class _CentroidLearner(Learner):
@@ -183,17 +168,18 @@ class _CentroidLearner(Learner):
             return _ConstantPredictor(0 if by_label[0] else 1)
         # fsum per coordinate is exactly rounded, so the mean does not
         # depend on the order of the rows.
-        centroid0, centroid1 = (
+        means = tuple(
             tuple(math.fsum(col) / len(rows) for col in zip(*rows)) for rows in by_label.values()
         )
-        return _CentroidPredictor(centroid0, centroid1)
+        return _KnnPredictor(means, _CENTROID_LABELS, 1)
 
 
 def centroid_learner() -> Learner:
-    """Nearest-class-centroid rule.
+    """Nearest-class-centroid rule: 1-NN over the two class means.
 
     Predicts the label of the closer class mean; a single-class learning set
-    yields that class everywhere, and an exact distance tie predicts 0.
+    yields that class everywhere. The label-0 mean is listed first, so 1-NN's
+    tie rule sends an exact distance tie to 0.
     """
     return _CentroidLearner()
 

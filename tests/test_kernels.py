@@ -311,6 +311,28 @@ class TestKernelEvaluator:
             for multiset in [((0.0,), (1.0,)), ((0.0,), (0.0,)), ((2.0,), (3.0,))]
         )
 
+    def test_complement_total_passes_predict_batch_the_rows_phi_passes(self):
+        # The predictor looks each row up by value, so it fails on any row
+        # that is not the hashable tuple Observation.x that phi passes.
+        class MemorizingLearner(Learner):
+            def fit(self, learning_set):
+                table = {obs.x: obs.y for obs in learning_set}
+
+                class Lookup(Predictor):
+                    def predict(self, x):
+                        return table.get(x, 0)
+
+                return Lookup()
+
+        data = Dataset.from_arrays([(0.0, 1.0), (1.0, 0.0), (2.0, 2.0)] * 2, [1, 0, 1] * 2)
+        kernel = ComparisonKernel(MemorizingLearner(), constant_learner(0), g=2)
+        ev = KernelEvaluator(kernel, data)
+        for learn in itertools.permutations(range(1, data.n + 1), 2):
+            held_out = [t for t in range(1, data.n + 1) if t not in learn]
+            assert ev.phi_complement_total(learn) == sum(ev.phi(learn, t) for t in held_out)
+        delta_hat = estimate_delta(ev, EstimatorConfig(draws=50, seed=1, mode=INCOMPLETE))
+        assert -1.0 <= delta_hat <= 0.0
+
     def test_complement_total_checks_learning_size(self):
         ev = KernelEvaluator(knn_vs_const(1), four_rows())
         with pytest.raises(ValueError, match="learning"):

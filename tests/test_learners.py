@@ -99,6 +99,67 @@ class TestCentroid:
             assert pred.predict_batch(xs[:size]) == [pred.predict(x) for x in xs[:size]]
 
 
+def left_to_right_squared_distance(x, p):
+    total = 0.0
+    for a, b in zip(x, p):
+        total += (a - b) * (a - b)
+    return total
+
+
+def reference_centroid_means(learning):
+    """The class means (label 0, label 1), or None for a single-class set."""
+    rows = {label: [o.x for o in learning if o.y == label] for label in (0, 1)}
+    if not rows[0] or not rows[1]:
+        return None
+    return tuple(
+        [math.fsum(col) / len(rows[label]) for col in zip(*rows[label])] for label in (0, 1)
+    )
+
+
+class TestCentroidMatchesReference:
+    """The nearest-class-mean rule written out: 1 if d1 < d0, else 0."""
+
+    @pytest.mark.parametrize("d", [1, 3, 8])
+    def test_seeded_learning_sets(self, d):
+        # Three kinds of query per learning set: Gaussian; small integers,
+        # which tie exactly when the class sizes are powers of two; and
+        # points on the bisecting hyperplane of the two means, moved by at
+        # most one unit in the last place per coordinate.
+        rng = np.random.default_rng([20261019, d])
+        ties = 0
+        for _ in range(1500):
+            integers = rng.random() < 0.5
+            g = int(rng.choice([1, 2, 3, 4, 6, 8]))
+            if integers:
+                xs = rng.integers(-2, 3, size=(g, d)).astype(float)
+            else:
+                xs = rng.normal(size=(g, d))
+            ys = rng.integers(0, 2, size=g)
+            learning = [Observation(tuple(map(float, x)), int(y)) for x, y in zip(xs, ys)]
+            pred = centroid_learner().fit(learning)
+            means = reference_centroid_means(learning)
+            if means is None:
+                assert fitted_fields(pred) == ("_ConstantPredictor", {"label": int(ys[0])})
+                continue
+            queries = list(rng.normal(size=(4, d)))
+            if integers:
+                queries += list(rng.integers(-2, 3, size=(8, d)).astype(float))
+            normal = np.subtract(means[1], means[0])
+            for _ in range(4 if normal.any() else 0):
+                v = rng.normal(size=d)
+                v -= (v @ normal) / (normal @ normal) * normal
+                x = np.add(means[0], means[1]) / 2 + v
+                queries.append(np.nextafter(x, x + rng.integers(-1, 2, size=d)))
+            queries = [tuple(map(float, q)) for q in queries]
+            d0 = [left_to_right_squared_distance(q, means[0]) for q in queries]
+            d1 = [left_to_right_squared_distance(q, means[1]) for q in queries]
+            expected = [1 if b < a else 0 for a, b in zip(d0, d1)]
+            assert [pred.predict(q) for q in queries] == expected, (learning, queries)
+            assert pred.predict_batch(queries) == expected, (learning, queries)
+            ties += sum(a == b for a, b in zip(d0, d1))
+        assert ties > 0
+
+
 # Learning rows (x, y) and one query whose squared distance to a learning
 # row or centroid is not finite, for three reasons.
 OVERFLOWING_DISTANCES = {
@@ -141,18 +202,20 @@ class TestScalarMatchesBatchOnNearTies:
         pred = knn_learner(1).fit(obs((p, 1), (q, 0)))
         assert pred.predict((0.0, 0.0)) == pred.predict_batch([(0.0, 0.0)])[0] == 1
 
+    @pytest.mark.parametrize("d", [2, 8, 12])
     @pytest.mark.parametrize("learner", [knn_learner(1), centroid_learner()], ids=["knn1", "centroid"])
-    def test_constructed_near_ties(self, learner):
-        # Q lies on the circle through P around the query, then moves by at
+    def test_constructed_near_ties(self, learner, d):
+        # Q lies on the sphere through P around the query, then moves by at
         # most one unit in the last place per coordinate, so the two squared
         # distances agree to the last bits. One row per class makes the
-        # centroids P and Q themselves.
-        rng = np.random.default_rng(20261018)
+        # centroids P and Q themselves. From d = 8 up, numpy's sum over an
+        # axis adds pairwise, so the batch path must add left to right.
+        rng = np.random.default_rng([20261018, d])
         for _ in range(10_000):
-            x, p = rng.normal(size=2), rng.normal(size=2)
-            angle = rng.uniform(0.0, 2 * np.pi)
-            q = x + np.hypot(*(p - x)) * np.array([np.cos(angle), np.sin(angle)])
-            q = np.nextafter(q, q + rng.integers(-1, 2, size=2))
+            x, p = rng.normal(size=d), rng.normal(size=d)
+            direction = rng.normal(size=d)
+            q = x + np.linalg.norm(p - x) / np.linalg.norm(direction) * direction
+            q = np.nextafter(q, q + rng.integers(-1, 2, size=d))
             x, p, q = (tuple(map(float, v)) for v in (x, p, q))
             pred = learner.fit(obs((p, 1), (q, 0)))
             assert pred.predict(x) == pred.predict_batch([x])[0], (x, p, q)
