@@ -2,8 +2,11 @@
 
 Each learner is timed on seeded Gaussian data at the (g, d) shapes of the
 perfbench workloads: a learning set of g rows with d features, and a query
-batch of the workload's n rows. Prints microseconds per call (best of five
-repeats). Standard library and numpy only; not part of the test suite.
+batch of the workload's n rows. Every shape is timed twice: with random
+labels, and with labels that follow the sign of a linear score, which often
+admit a zero-error stump split, where the stump's scan stops early. Prints
+microseconds per call (best of five repeats). Standard library and numpy
+only; not part of the test suite.
 
     PYTHONPATH=src python3 bench/learners.py
 """
@@ -26,15 +29,23 @@ LEARNERS = ("knn:3", "centroid", "stump", "const:0")
 SHAPES = ((5, 3, 60), (20, 5, 200), (2, 2, 17), (5, 8, 60))
 REPEATS = 5
 SEED = 0
-SETS = 200  # learning sets per shape
+SETS = 200  # learning sets per shape and labels
+LABELS = ("random", "linear")
 
 
-def learning_sets(rng, g, d, count):
-    """count seeded learning sets of g rows with d Gaussian features."""
+def learning_sets(rng, g, d, count, labels):
+    """count seeded learning sets of g rows with d Gaussian features.
+
+    labels "random" draws each label uniformly; "linear" labels a row 1 when
+    a random linear score of its features is positive.
+    """
     sets = []
     for _ in range(count):
         xs = rng.normal(size=(g, d))
-        ys = rng.integers(0, 2, size=g)
+        if labels == "linear":
+            ys = (xs @ rng.normal(size=d) > 0).astype(int)
+        else:
+            ys = rng.integers(0, 2, size=g)
         sets.append([Observation(tuple(map(float, x)), int(y)) for x, y in zip(xs, ys)])
     return sets
 
@@ -45,25 +56,26 @@ def per_call_us(fn, calls):
 
 
 def main() -> None:
-    print(f"{'learner':<10} {'g':>3} {'d':>2} {'n':>4} {'fit_us':>10} {'predict_us':>11} "
-          f"{'batch_us':>10}")
+    print(f"{'learner':<10} {'labels':<7} {'g':>3} {'d':>2} {'n':>4} {'fit_us':>10} "
+          f"{'predict_us':>11} {'batch_us':>10}")
     for g, d, n in SHAPES:
-        rng = np.random.default_rng([SEED, g, d])
-        sets = learning_sets(rng, g, d, SETS)
-        queries = [tuple(map(float, q)) for q in rng.normal(size=(n, d))]
-        for name in LEARNERS:
-            learner = parse_learner(name)
-            fit_us = per_call_us(lambda: [learner.fit(s) for s in sets], len(sets))
-            predictors = [learner.fit(s) for s in sets]
-            predict_us = per_call_us(
-                lambda: [p.predict(q) for p in predictors for q in queries],
-                len(predictors) * len(queries),
-            )
-            batch_us = per_call_us(
-                lambda: [p.predict_batch(queries) for p in predictors], len(predictors)
-            )
-            print(f"{name:<10} {g:>3} {d:>2} {n:>4} {fit_us:>10.2f} {predict_us:>11.2f} "
-                  f"{batch_us:>10.2f}")
+        for labels in LABELS:
+            rng = np.random.default_rng([SEED, g, d, LABELS.index(labels)])
+            sets = learning_sets(rng, g, d, SETS, labels)
+            queries = [tuple(map(float, q)) for q in rng.normal(size=(n, d))]
+            for name in LEARNERS:
+                learner = parse_learner(name)
+                fit_us = per_call_us(lambda: [learner.fit(s) for s in sets], len(sets))
+                predictors = [learner.fit(s) for s in sets]
+                predict_us = per_call_us(
+                    lambda: [p.predict(q) for p in predictors for q in queries],
+                    len(predictors) * len(queries),
+                )
+                batch_us = per_call_us(
+                    lambda: [p.predict_batch(queries) for p in predictors], len(predictors)
+                )
+                print(f"{name:<10} {labels:<7} {g:>3} {d:>2} {n:>4} {fit_us:>10.2f} "
+                      f"{predict_us:>11.2f} {batch_us:>10.2f}")
 
 
 if __name__ == "__main__":

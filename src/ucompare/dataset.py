@@ -6,7 +6,7 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 class DatasetFormatError(ValueError):
@@ -60,10 +60,6 @@ class Dataset:
         if not 1 <= index <= self.n:
             raise IndexError(f"index {index} outside 1..{self.n}")
         return self.observations[index - 1]
-
-    def subset(self, indices: Iterable[int]) -> tuple[Observation, ...]:
-        """Observations at the given 1-based indices, in the given order."""
-        return tuple(self.observation(i) for i in indices)
 
     @property
     def labels(self) -> tuple[int, ...]:

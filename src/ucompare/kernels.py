@@ -22,12 +22,13 @@ from .learners import Learner, misclassification_loss
 # workloads and the tests show fits in under 2,000 keys (sampled-duplicates:
 # at most 1,716 phi0 keys and 787 learning multisets; complete-enum: 680 and
 # 136). Complete mode keys exactly the C(n, m) subsets when no two rows are
-# equal, and fewer otherwise. A complete run that finishes within about 17
+# equal, and fewer otherwise. A complete run that finishes within about 11
 # minutes (n = 22, g = 4) needs at most C(22, 5) = 26,334 phi0 entries; the
 # cheapest complete run with more entries that passes the enumeration budget
-# (n = 20, g = 5) makes about 3 * 10^9 phi0 lookups, about 37 minutes at the
+# (n = 20, g = 5) makes about 3 * 10^9 phi0 lookups, about 23 minutes at the
 # rate of the benchmark's complete-enum workload on a 2-core Xeon host (about
-# 1.35 million lookups per second).
+# 2.1 million lookups per second). The repeated-id memo of phi0 holds at most
+# as many entries again.
 MEMO_SIZE = 2**15
 
 
@@ -61,21 +62,32 @@ def _remember(memo: dict, key, value):
     return value
 
 
+def _predict_rows(predictor, xs: list) -> list:
+    """Labels of the rows xs; a predictor without predict_batch predicts row by row."""
+    predict_batch = getattr(predictor, "predict_batch", None)
+    if predict_batch is None:
+        return [predictor.predict(x) for x in xs]
+    return predict_batch(xs)
+
+
 class KernelEvaluator:
     """Kernel evaluation against one dataset, with bounded memoization.
 
     Every row gets a class id: the first 1-based index of a row with the same
     (x, y). A multiset of rows is keyed by the sorted tuple of its class ids,
     so value-equal subsets share one entry: determinism guarantees that equal
-    multisets give predictors with identical outputs. There are two memos:
-    `_phi0s` maps a subset's key to its symmetrized value, and `_learned` maps
-    a learning multiset's key to the list [predictor a, predictor b, complement
-    total], where the total stays None until phi_complement_total computes it.
-    The row a class id names has that id as its own, so an ascending request
-    of distinct class representatives is its own key: phi0 probes `_phi0s`
-    with the request before building a key. Complete mode requests exactly
-    the C(n, m) subsets, each as an ascending tuple; when no two rows are
-    equal, each is its own key and every repeat is answered by that probe.
+    multisets give predictors with identical outputs. There are three memos:
+    `_phi0s` maps the key of a subset of m distinct class ids to its
+    symmetrized value, `_phi0s_repeated` does the same for a key with a
+    repeated class id, and `_learned` maps a learning multiset's key to the
+    list [predictor a, predictor b, complement total], where the total stays
+    None until phi_complement_total computes it. The row a class id names has
+    that id as its own, so an ascending request of distinct class
+    representatives is its own key: phi0 probes `_phi0s` with the request
+    before building a key, and a hit there is a valid request. Complete mode
+    requests exactly the C(n, m) subsets, each as an ascending tuple; when no
+    two rows are equal, each is its own key and every repeat is answered by
+    that probe.
     Each holds at most MEMO_SIZE entries and is emptied when an insert finds it
     full, so a run at any budget keeps bounded memory. Evaluation is
     single-threaded.
@@ -96,7 +108,10 @@ class KernelEvaluator:
             i: first_row.setdefault((obs.x, obs.y), i)
             for i, obs in enumerate(data.observations, start=1)
         }.__getitem__
+        # Rows by 1-based index, read only after _key has validated the indices.
+        self._rows = (None, *data.observations)
         self._phi0s: dict[tuple, float] = {}
+        self._phi0s_repeated: dict[tuple, float] = {}
         self._learned: dict[tuple, list] = {}
 
     def _key(self, indices: Iterable[int]) -> tuple[int, ...]:
@@ -111,7 +126,7 @@ class KernelEvaluator:
         key = self._key(learn_indices)
         entry = self._learned.get(key)
         if entry is None:
-            learn_obs = self.data.subset(learn_indices)
+            learn_obs = tuple(map(self._rows.__getitem__, learn_indices))
             entry = _remember(
                 self._learned,
                 key,
@@ -139,32 +154,34 @@ class KernelEvaluator:
     def phi0(self, member_indices: Sequence[int]) -> float:
         """Symmetrized kernel over a subset, memoized by its class-id key.
 
-        The request itself is looked up first. A cached key is a sorted
-        tuple of class ids, and the row a class id names has that id as its
-        own, so a request equal to a cached key is its own key once its m
-        entries are distinct. A key cached with repeated class ids, such as
-        (1, 1, 2), therefore never answers the repeated request (1, 1, 2).
-        Every other request (a miss, a list, an unordered tuple) builds its
-        key and runs the full checks.
+        The request itself is looked up first. A key of m distinct class ids
+        is kept in `_phi0s`, a key with a repeated class id in
+        `_phi0s_repeated`. The row a class id names has that id as its own,
+        so a request equal to a key in `_phi0s` is m distinct valid indices
+        and is its own key: a hit there needs no further check. A key with
+        repeated class ids, such as (1, 1, 2), is never probed, so it cannot
+        answer the invalid request (1, 1, 2). Every other request (a miss, a
+        list, an unordered tuple) builds its key and runs the full checks.
         """
-        m = self._m
         try:
             result = self._phi0s.get(member_indices)
         except TypeError:  # unhashable, such as a list
             result = None
-        if result is not None and len(set(member_indices)) == m:
+        if result is not None:
             return result
+        m = self._m
         key = self._key(member_indices)
         if len(key) != m or len(set(member_indices)) != m:
             raise ValueError(f"need {m} distinct indices, got {tuple(member_indices)}")
-        result = self._phi0s.get(key)
+        memo = self._phi0s if len(set(key)) == m else self._phi0s_repeated
+        result = memo.get(key)
         if result is None:
             members = sorted(member_indices)
             values = [
                 self.phi(tuple(members[:i] + members[i + 1 :]), members[i])
                 for i in range(m)
             ]
-            result = _remember(self._phi0s, key, sum(values) / m)
+            result = _remember(memo, key, sum(values) / m)
         return result
 
     def phi_complement_total(self, learn_indices: Sequence[int]) -> int:
@@ -180,8 +197,8 @@ class KernelEvaluator:
         if entry[2] is None:
             pred_a, pred_b, _ = entry
             xs = [obs.x for obs in self.data.observations]
-            out_a = pred_a.predict_batch(xs)
-            out_b = pred_b.predict_batch(xs)
+            out_a = _predict_rows(pred_a, xs)
+            out_b = _predict_rows(pred_b, xs)
             rows = [
                 misclassification_loss(a, obs.y) - misclassification_loss(b, obs.y)
                 for a, b, obs in zip(out_a, out_b, self.data.observations)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_right
-from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -27,23 +26,6 @@ def misclassification_loss(predicted: int, actual: int) -> int:
     if actual not in (0, 1):
         raise ValueError(f"actual label must be 0 or 1, got {actual!r}")
     return 1 if predicted != actual else 0
-
-
-def _canonical(learning_set: Sequence[Observation]) -> list[Observation]:
-    """Learning set in canonical order: feature lexicographic, then label."""
-    if not learning_set:
-        raise ValueError("cannot fit on an empty learning set")
-    return sorted(learning_set, key=lambda obs: (obs.x, obs.y))
-
-
-def _squared_distance(x: Sequence[float], p: Sequence[float]) -> float:
-    """Sum of squared coordinate differences, each squared as d * d.
-
-    d * d is correctly rounded, as numpy's ** 2 on the batch path is; a
-    Python float's d ** 2 goes through libm pow, which can land one unit in
-    the last place away and so flip a near-tie between the two paths.
-    """
-    return sum(d * d for d in map(operator.sub, x, p))
 
 
 def _check_finite(largest_squared_distance: float) -> None:
@@ -108,17 +90,27 @@ class _KnnPredictor(Predictor):
 
     def predict(self, x):
         x = tuple(x)
-        d2 = [_squared_distance(x, p) for p in self.points]
+        # Each difference is squared as t * t, which is correctly rounded as
+        # numpy's ** 2 on the batch path is (a float's t ** 2 goes through
+        # libm pow), and the squares are added left to right, as the batch
+        # path adds its columns. sum() would not do: from Python 3.12 it adds
+        # floats with compensation.
+        d2 = []
+        for p in self.points:
+            s = 0.0
+            for t in map(operator.sub, x, p):
+                s = s + t * t
+            d2.append(s)
+        _check_finite(max(d2))
         # Stable sort: equal distances resolve to the smaller canonical index.
         order = sorted(range(len(d2)), key=d2.__getitem__)
-        _check_finite(d2[order[-1]])
         votes = sum(self.labels[i] for i in order[: self.k])
         return 1 if 2 * votes > self.k else 0
 
     def predict_batch(self, xs):
         q = np.asarray(xs, dtype=float)
         points = np.array(self.points, dtype=float)
-        # Columns are added left to right, as _squared_distance adds them;
+        # Columns are added left to right, as predict adds them;
         # numpy's sum over an axis adds pairwise from 8 terms up.
         d2 = np.zeros((len(q), len(points)))
         with np.errstate(over="ignore"):
@@ -137,10 +129,11 @@ class _KnnLearner(Learner):
         self.k = k
 
     def fit(self, learning_set):
-        ordered = _canonical(learning_set)
-        points = [obs.x for obs in ordered]
-        labels = [obs.y for obs in ordered]
-        return _KnnPredictor(points, labels, min(self.k, len(ordered)))
+        if not learning_set:
+            raise ValueError("cannot fit on an empty learning set")
+        # Canonical order: features lexicographic, then label.
+        points, labels = zip(*sorted([(obs.x, obs.y) for obs in learning_set]))
+        return _KnnPredictor(points, labels, min(self.k, len(points)))
 
 
 def knn_learner(k: int) -> Learner:
@@ -148,7 +141,8 @@ def knn_learner(k: int) -> Learner:
 
     Distance ties go to the smaller index after canonically sorting the
     learning set; a tied vote predicts 0. k is capped at the learning-set
-    size.
+    size. predict and predict_batch compute the same squared distances: each
+    difference squared as t * t, the squares added left to right.
     """
     return _KnnLearner(k)
 
@@ -205,34 +199,51 @@ class _StumpLearner(Learner):
         if not learning_set:
             raise ValueError("cannot fit on an empty learning set")
         size = len(learning_set)
-        total_ones = sum(obs.y for obs in learning_set)
+        labels = [obs.y for obs in learning_set]
+        total_ones = sum(labels)
         # Candidates arrive in nondecreasing (feature, threshold) order, since
         # midpoints of increasing pairs never decrease. Keeping the first one
         # with the fewest errors is therefore the (errors, feature, threshold)
-        # order; an equal (feature, threshold) makes the same split.
-        best = None  # (errors, feature, threshold, rows left, ones left)
-        for j in range(len(learning_set[0].x)):
-            pairs = sorted([(obs.x[j], obs.y) for obs in learning_set])
-            values = [v for v, _ in pairs]
-            ones_before = list(accumulate((y for _, y in pairs), initial=0))
-            for k in range(1, size):
-                lo, hi = values[k - 1], values[k]
-                if lo == hi:
-                    continue
-                threshold = (lo + hi) / 2.0
-                # Not always k: the midpoint may round up to hi or overflow.
-                n_le = bisect_right(values, threshold)
-                ones_le = ones_before[n_le]
-                ones_gt = total_ones - ones_le
-                # Each side predicts its majority, so it misclassifies its
-                # minority.
-                errors = min(ones_le, n_le - ones_le) + min(ones_gt, size - n_le - ones_gt)
-                if best is None or errors < best[0]:
-                    best = (errors, j, threshold, n_le, ones_le)
+        # order; an equal (feature, threshold) makes the same split. No later
+        # candidate beats zero errors, so the scan stops at the first.
+        best = None  # (feature, threshold, rows left, ones left)
+        best_errors = size + 1
+        for j, column in enumerate(zip(*[obs.x for obs in learning_set])):
+            pairs = sorted(zip(column, labels))
+            lo = pairs[0][0]
+            ones = 0  # label-1 rows before the current one
+            for k, (hi, y) in enumerate(pairs):
+                if lo != hi:
+                    threshold = (lo + hi) / 2.0
+                    if lo <= threshold < hi:
+                        n_le, ones_le = k, ones
+                    else:
+                        # The midpoint rounded up to hi or overflowed to
+                        # +-inf; the split is still the rows x <= threshold,
+                        # the pairs that sort before (threshold, 1) or equal it.
+                        n_le = bisect_right(pairs, (threshold, 1))
+                        ones_le = sum(label for _, label in pairs[:n_le])
+                    zeros_le = n_le - ones_le
+                    ones_gt = total_ones - ones_le
+                    zeros_gt = size - n_le - ones_gt
+                    # Each side predicts its majority, so it misclassifies
+                    # its minority (conditionals, as min() costs a call).
+                    errors = (ones_le if ones_le < zeros_le else zeros_le) + (
+                        ones_gt if ones_gt < zeros_gt else zeros_gt
+                    )
+                    if errors < best_errors:
+                        best_errors = errors
+                        best = (j, threshold, n_le, ones_le)
+                        if not errors:
+                            break
+                lo = hi
+                ones += y
+            if not best_errors:
+                break
         if best is None:
             # Every feature is constant on the learning set; no split exists.
             return _ConstantPredictor(_majority(total_ones, size))
-        _, j, threshold, n_le, ones_le = best
+        j, threshold, n_le, ones_le = best
         return _StumpPredictor(
             j,
             threshold,
@@ -250,9 +261,11 @@ def stump_learner() -> Learner:
     float limit; the split is still exactly the rows x <= threshold. Each
     side predicts its own majority (ties toward 0). Equal-error candidates
     resolve by (feature index, threshold) ascending; if no split exists the
-    stump degenerates to the overall majority label. One sort and one prefix
-    count of labels per feature make a fit O(d g log g) for g rows and d
-    features.
+    stump degenerates to the overall majority label. Per feature, one sort
+    and one pass with a running count of label-1 rows make a fit O(d g log g)
+    for g rows and d features; the pass finds the rows x <= threshold by
+    binary search only where the midpoint rounded up or overflowed. The scan
+    stops at the first zero-error split, which no later candidate can beat.
     """
     return _StumpLearner()
 

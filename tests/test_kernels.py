@@ -46,6 +46,11 @@ class BatchCountingLearner(Learner):
         return Logged()
 
 
+def observations_at(data: Dataset, indices) -> tuple:
+    """The observations at the given 1-based indices, in the given order."""
+    return tuple(data.observation(i) for i in indices)
+
+
 def four_rows() -> Dataset:
     return Dataset.from_arrays(
         [(0.0,), (1.0,), (2.0,), (3.0,)],
@@ -82,7 +87,7 @@ class TestPointwiseKernel:
     def test_wrong_learning_size_rejected(self):
         data = four_rows()
         with pytest.raises(ValueError, match="learning"):
-            phi_value(knn_vs_const(), data.subset((1, 2)), data.observation(3))
+            phi_value(knn_vs_const(), observations_at(data, (1, 2)), data.observation(3))
 
 
 class TestSymmetrizedKernel:
@@ -109,7 +114,7 @@ class TestSymmetrizedKernel:
         )
         kernel = ComparisonKernel(stump_learner(), centroid_learner(), g=2)
         for members in itertools.combinations(range(1, 5), 3):
-            obs = data.subset(members)
+            obs = observations_at(data, members)
             by_rotation = phi0_value(kernel, obs)
             orderings = [
                 phi_value(kernel, perm[:2], perm[2])
@@ -128,28 +133,28 @@ class TestSymmetrizedKernel:
     def test_wrong_subset_size_rejected(self):
         data = four_rows()
         with pytest.raises(ValueError):
-            phi0_value(knn_vs_const(2), data.subset((1, 2)))
+            phi0_value(knn_vs_const(2), observations_at(data, (1, 2)))
 
 
 class TestProductKernels:
     def test_overlap_windows_multiply(self):
         data = four_rows()
         kernel = knn_vs_const(1)
-        first = phi0_value(kernel, data.subset((1, 2)))
-        second = phi0_value(kernel, data.subset((2, 3)))
+        first = phi0_value(kernel, observations_at(data, (1, 2)))
+        second = phi0_value(kernel, observations_at(data, (2, 3)))
         assert KernelEvaluator(kernel, data).product((1, 2, 3), 1) == first * second
 
     def test_full_overlap_squares(self):
         data = four_rows()
         kernel = knn_vs_const(1)
-        value = phi0_value(kernel, data.subset((1, 2)))
+        value = phi0_value(kernel, observations_at(data, (1, 2)))
         assert KernelEvaluator(kernel, data).product((1, 2), 2) == value * value
 
     def test_disjoint_windows_multiply(self):
         data = four_rows()
         kernel = knn_vs_const(1)
-        first = phi0_value(kernel, data.subset((1, 2)))
-        second = phi0_value(kernel, data.subset((3, 4)))
+        first = phi0_value(kernel, observations_at(data, (1, 2)))
+        second = phi0_value(kernel, observations_at(data, (3, 4)))
         assert KernelEvaluator(kernel, data).product((1, 2, 3, 4), 0) == first * second
 
     def test_overlap_out_of_range_rejected(self):
@@ -263,7 +268,7 @@ class TestKernelEvaluator:
             [0, 1, 1, 0, 1, 0],
         )
         kernel = knn_vs_const(2)
-        expected = phi0_value(kernel, data.subset((1, 2, 6)))
+        expected = phi0_value(kernel, observations_at(data, (1, 2, 6)))
         assert expected != 0.0
         equal_requests = [(1, 2, 6), (4, 5, 6), (6, 5, 1), [1, 2, 6], [6, 4, 2]]
         for first in range(len(equal_requests)):
@@ -332,6 +337,32 @@ class TestKernelEvaluator:
             assert ev.phi_complement_total(learn) == sum(ev.phi(learn, t) for t in held_out)
         delta_hat = estimate_delta(ev, EstimatorConfig(draws=50, seed=1, mode=INCOMPLETE))
         assert -1.0 <= delta_hat <= 0.0
+
+    @pytest.mark.parametrize("mode", [COMPLETE, INCOMPLETE])
+    def test_predictor_without_predict_batch(self, mode):
+        # Any fit(observations) -> predictor with predict(x) will do; this
+        # one is not a Predictor, so it has no predict_batch.
+        class DuckLearner:
+            def fit(self, learning_set):
+                inner = stump_learner().fit(learning_set)
+
+                class Duck:
+                    def predict(self, x):
+                        return inner.predict(x)
+
+                return Duck()
+
+        data = Dataset.from_arrays(
+            [(0.0, 1.0), (1.0, 0.0), (2.0, 2.0), (3.0, 1.5), (4.0, 0.5), (5.0, 3.0)],
+            [0, 1, 1, 0, 1, 0],
+        )
+        config = EstimatorConfig(draws=20, seed=3, mode=mode)
+
+        def delta(learner_a):
+            kernel = ComparisonKernel(learner_a, constant_learner(0), g=2)
+            return estimate_delta(KernelEvaluator(kernel, data), config)
+
+        assert delta(DuckLearner()) == delta(stump_learner()) != 0.0
 
     def test_complement_total_checks_learning_size(self):
         ev = KernelEvaluator(knn_vs_const(1), four_rows())

@@ -202,6 +202,17 @@ class TestScalarMatchesBatchOnNearTies:
         pred = knn_learner(1).fit(obs((p, 1), (q, 0)))
         assert pred.predict((0.0, 0.0)) == pred.predict_batch([(0.0, 0.0)])[0] == 1
 
+    def test_squares_added_left_to_right(self):
+        # From P the squares 1e16, 1, 1, 1 add left to right to 1e16, but to
+        # 1e16 + 4 with compensation, as Python 3.12's sum() of floats does;
+        # from Q the distance is 1e16 + 2. So only the left-to-right sum
+        # makes P, with label 0, the nearer point.
+        p = (1e8, 1.0, 1.0, 1.0)
+        q = (math.nextafter(1e8, math.inf), 0.0, 0.0, 0.0)
+        pred = knn_learner(1).fit(obs((p, 0), (q, 1)))
+        origin = (0.0, 0.0, 0.0, 0.0)
+        assert pred.predict(origin) == pred.predict_batch([origin])[0] == 0
+
     @pytest.mark.parametrize("d", [2, 8, 12])
     @pytest.mark.parametrize("learner", [knn_learner(1), centroid_learner()], ids=["knn1", "centroid"])
     def test_constructed_near_ties(self, learner, d):
@@ -321,6 +332,14 @@ class TestStumpMatchesQuadraticScan:
             # g = 1.
             obs((0.5, 1)),
             obs(((0.5, -2.0, 3.0), 0)),
+            # Zero-error splits on features 0 and 1; feature 0's comes first
+            # although feature 1's threshold is smaller.
+            obs(((0.0, -5.0), 0), ((1.0, -4.0), 0), ((2.0, -3.0), 1)),
+            # (1 + 1ulp + 1 + 2ulp) / 2 rounds up to hi, and that split is the
+            # first with zero errors.
+            obs((ONE, 1), (ONE_UP, 1), (ONE_UP2, 1), (2.0, 0)),
+            # Feature 0's best split has one error; feature 1 has none.
+            obs(((0.0, 2.0), 1), ((1.0, 0.0), 0), ((2.0, 1.0), 0), ((3.0, 3.0), 1)),
         ],
         ids=[
             "round-up-to-hi",
@@ -337,6 +356,9 @@ class TestStumpMatchesQuadraticScan:
             "single-class-two-features",
             "g1",
             "g1-three-features",
+            "zero-error-on-two-features",
+            "zero-error-at-round-up",
+            "zero-error-after-nonzero-best",
         ],
     )
     def test_explicit_cases(self, learning):
@@ -368,6 +390,28 @@ class TestStumpMatchesQuadraticScan:
             assert fitted_fields(stump_learner().fit(learning)) == reference_stump_fit(
                 learning
             ), learning
+
+
+    def test_seeded_linear_score_labels(self):
+        # Labels that follow the sign of a linear score often admit a
+        # zero-error split, where the scan stops; random labels seldom do.
+        rng = np.random.default_rng(20132)
+        zero_error = 0
+        for _ in range(2000):
+            g = int(rng.integers(1, 13))
+            d = int(rng.integers(1, 5))
+            if rng.random() < 0.5:
+                xs = rng.normal(size=(g, d))
+            else:
+                xs = rng.integers(-2, 3, size=(g, d)).astype(float)
+            # One dominant feature makes zero-error splits common.
+            weights = rng.normal(size=d) * np.where(np.arange(d) == rng.integers(0, d), 1.0, 0.1)
+            labels = (xs @ weights > rng.normal(scale=0.5)).astype(int)
+            learning = [Observation(tuple(map(float, x)), int(y)) for x, y in zip(xs, labels)]
+            predictor = stump_learner().fit(learning)
+            assert fitted_fields(predictor) == reference_stump_fit(learning), learning
+            zero_error += all(predictor.predict(o.x) == o.y for o in learning)
+        assert zero_error > 1000
 
 
 @pytest.mark.parametrize("learner", ALL_LEARNERS)
