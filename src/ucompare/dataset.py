@@ -32,28 +32,32 @@ class Observation:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Ordered, immutable collection of observations with one feature dimension.
+    """Ordered, immutable, nonempty collection of observations of one width.
 
     Rows keep their ingestion order and are addressed by 1-based index, so
     index i refers to the same observation for the lifetime of the object.
+    n and feature_dim are derived: the row count and the width of the first
+    row, which every other row must match.
     """
 
     observations: tuple[Observation, ...]
-    feature_dim: int
 
     def __post_init__(self):
         object.__setattr__(self, "observations", tuple(self.observations))
         if not self.observations:
             raise ValueError("empty dataset")
+        width = self.feature_dim
         for i, obs in enumerate(self.observations, start=1):
-            if len(obs.x) != self.feature_dim:
-                raise ValueError(
-                    f"row {i} has {len(obs.x)} features, expected {self.feature_dim}"
-                )
+            if len(obs.x) != width:
+                raise ValueError(f"row {i} has {len(obs.x)} features, expected {width}")
 
     @property
     def n(self) -> int:
         return len(self.observations)
+
+    @property
+    def feature_dim(self) -> int:
+        return len(self.observations[0].x)
 
     def observation(self, index: int) -> Observation:
         """Row lookup by stable 1-based index."""
@@ -61,19 +65,12 @@ class Dataset:
             raise IndexError(f"index {index} outside 1..{self.n}")
         return self.observations[index - 1]
 
-    @property
-    def labels(self) -> tuple[int, ...]:
-        return tuple(obs.y for obs in self.observations)
-
     @classmethod
     def from_arrays(cls, features: Sequence[Sequence[float]], labels: Sequence[int]) -> "Dataset":
         """Build a dataset from parallel feature rows and labels."""
         if len(features) != len(labels):
             raise ValueError("features and labels must have equal length")
-        obs = tuple(Observation(tuple(row), y) for row, y in zip(features, labels))
-        if not obs:
-            raise ValueError("empty dataset")
-        return cls(obs, feature_dim=len(obs[0].x))
+        return cls(tuple(Observation(tuple(row), y) for row, y in zip(features, labels)))
 
 
 def _parse_label(cell: str, line_no: int, col: int) -> int:
@@ -179,7 +176,7 @@ def load_csv(
         label = _parse_label(row[label_idx].strip(), line_no, label_idx)
         observations.append(Observation(features, label))
 
-    return Dataset(tuple(observations), feature_dim=width - 1)
+    return Dataset(tuple(observations))
 
 
 def save_csv(data: Dataset, path: str | Path, has_header: bool = True) -> None:

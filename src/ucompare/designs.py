@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -56,16 +55,13 @@ class HypergeometricWeights:
 def hypergeometric_weights(n: int, m: int) -> HypergeometricWeights:
     """Exact overlap weights, computed in integer arithmetic.
 
-    Python integers cannot overflow, and the final Fraction-to-float
-    conversion rounds each weight correctly.
+    Python integers cannot overflow, and int true division rounds each
+    weight correctly.
     """
     if m < 1 or m > n:
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
     denom = math.comb(n, m)
-    alpha = tuple(
-        float(Fraction(math.comb(m, c) * math.comb(n - m, m - c), denom))
-        for c in range(m + 1)
-    )
+    alpha = tuple(math.comb(m, c) * math.comb(n - m, m - c) / denom for c in range(m + 1))
     return HypergeometricWeights(n=n, m=m, alpha=alpha)
 
 

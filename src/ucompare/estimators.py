@@ -76,17 +76,24 @@ class VarianceEstimate:
 
     v_hat = sum_c alpha_c * kappa_hat_c - (1 - alpha_0) * theta2_hat, with
     kappa_hats covering overlaps c = 1..m. A negative v_hat is legitimate
-    randomness at small n and is flagged, never clamped. degeneracy_warning
-    records that kappa_hat_1 - theta2_hat was at or below tolerance, where
-    the studentized limit stops being informative.
+    randomness at small n and is flagged, never clamped. Both flags are
+    derived from the stored values: nonpositive is v_hat <= 0, and
+    degeneracy_warning is kappa_hat_1 - theta2_hat at or below
+    NONDEGENERACY_TOL, where the studentized limit stops being informative.
     """
 
     v_hat: float
     kappa_hats: tuple[float, ...]
     theta2_hat: float
     weights: HypergeometricWeights
-    nonpositive: bool
-    degeneracy_warning: bool
+
+    @property
+    def nonpositive(self) -> bool:
+        return self.v_hat <= 0.0
+
+    @property
+    def degeneracy_warning(self) -> bool:
+        return self.kappa_hats[0] - self.theta2_hat <= NONDEGENERACY_TOL
 
 
 def _combine(
@@ -265,9 +272,10 @@ def estimate_variance(evaluator: KernelEvaluator, config: EstimatorConfig) -> Va
     kappa_hats = tuple(estimate_kappa_c(evaluator, c, config) for c in range(1, m + 1))
     theta2_hat = estimate_theta2(evaluator, config)
     weights = hypergeometric_weights(n, m)
-    v_hat = _combine(weights, kappa_hats, theta2_hat)
-    degenerate = kappa_hats[0] - theta2_hat <= NONDEGENERACY_TOL
-    if degenerate:
+    estimate = VarianceEstimate(
+        _combine(weights, kappa_hats, theta2_hat), kappa_hats, theta2_hat, weights
+    )
+    if estimate.degeneracy_warning:
         warnings.warn(
             f"kappa_hat_1 - theta2_hat = {kappa_hats[0] - theta2_hat:.3e} is at or "
             f"below the tolerance {NONDEGENERACY_TOL:.1e}; the comparison looks "
@@ -275,11 +283,4 @@ def estimate_variance(evaluator: KernelEvaluator, config: EstimatorConfig) -> Va
             RuntimeWarning,
             stacklevel=2,
         )
-    return VarianceEstimate(
-        v_hat=v_hat,
-        kappa_hats=kappa_hats,
-        theta2_hat=theta2_hat,
-        weights=weights,
-        nonpositive=v_hat <= 0.0,
-        degeneracy_warning=degenerate,
-    )
+    return estimate

@@ -29,20 +29,28 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 class TestResult:
     """Outcome of the two-sided comparison test.
 
-    When degenerate is set (no positive variance estimate was available),
-    statistic, p_value, the interval, and reject are all None: no decision.
+    Without a positive variance u_n there is no decision: statistic, p_value
+    and the interval stay None. Two values are derived: degenerate is
+    statistic is None, and reject is p_value <= alpha (non-strict), or None
+    when there is no p-value.
     """
 
     delta_hat: float
     u_n: float
     alpha: float
     mode_used: str
-    degenerate: bool
-    statistic: float | None
-    p_value: float | None
-    ci_low: float | None
-    ci_high: float | None
-    reject: bool | None
+    statistic: float | None = None
+    p_value: float | None = None
+    ci_low: float | None = None
+    ci_high: float | None = None
+
+    @property
+    def degenerate(self) -> bool:
+        return self.statistic is None
+
+    @property
+    def reject(self) -> bool | None:
+        return None if self.p_value is None else self.p_value <= self.alpha
 
 
 def normal_cdf(x: float) -> float:
@@ -144,31 +152,18 @@ def test_error_difference(
         mode_used = PLUGIN_ASYMPTOTIC
         u_n = m**2 * (variance.kappa_hats[0] - variance.theta2_hat) / n
     if u_n <= 0.0:
-        return TestResult(
-            delta_hat=delta_hat,
-            u_n=u_n,
-            alpha=alpha,
-            mode_used=mode_used,
-            degenerate=True,
-            statistic=None,
-            p_value=None,
-            ci_low=None,
-            ci_high=None,
-            reject=None,
-        )
+        return TestResult(delta_hat, u_n, alpha, mode_used)
     statistic = delta_hat / math.sqrt(u_n)
     # erfc(|z|/sqrt(2)) equals 2*(1 - cdf(|z|)) without cancellation.
     p_value = math.erfc(abs(statistic) / _SQRT2)
     half_width = math.sqrt(u_n) * normal_quantile(1.0 - alpha / 2.0)
     return TestResult(
-        delta_hat=delta_hat,
-        u_n=u_n,
-        alpha=alpha,
-        mode_used=mode_used,
-        degenerate=False,
+        delta_hat,
+        u_n,
+        alpha,
+        mode_used,
         statistic=statistic,
         p_value=p_value,
         ci_low=delta_hat - half_width,
         ci_high=delta_hat + half_width,
-        reject=p_value <= alpha,
     )

@@ -39,6 +39,11 @@ def _check_finite(largest_squared_distance: float) -> None:
         raise OverflowError("squared distance exceeds the float range")
 
 
+def _majority(ones: int, size: int) -> int:
+    """Majority label of size labels of which ones are 1; a tie gives 0."""
+    return 1 if 2 * ones > size else 0
+
+
 class Predictor:
     """Fitted model mapping a feature vector to a label in {0, 1}."""
 
@@ -88,8 +93,16 @@ class _KnnPredictor(Predictor):
         self.labels = labels
         self.k = k
 
+    def _check_width(self, width: int) -> None:
+        """Raise ValueError unless a query has the fitted points' width."""
+        if width != len(self.points[0]):
+            raise ValueError(
+                f"query has {width} features, the fitted points have {len(self.points[0])}"
+            )
+
     def predict(self, x):
         x = tuple(x)
+        self._check_width(len(x))
         # Each difference is squared as t * t, which is correctly rounded as
         # numpy's ** 2 on the batch path is (a float's t ** 2 goes through
         # libm pow), and the squares are added left to right, as the batch
@@ -104,11 +117,11 @@ class _KnnPredictor(Predictor):
         _check_finite(max(d2))
         # Stable sort: equal distances resolve to the smaller canonical index.
         order = sorted(range(len(d2)), key=d2.__getitem__)
-        votes = sum(self.labels[i] for i in order[: self.k])
-        return 1 if 2 * votes > self.k else 0
+        return _majority(sum(self.labels[i] for i in order[: self.k]), self.k)
 
     def predict_batch(self, xs):
         q = np.asarray(xs, dtype=float)
+        self._check_width(q.shape[1])
         points = np.array(self.points, dtype=float)
         # Columns are added left to right, as predict adds them;
         # numpy's sum over an axis adds pairwise from 8 terms up.
@@ -119,7 +132,7 @@ class _KnnPredictor(Predictor):
         _check_finite(d2.max())
         order = np.argsort(d2, axis=1, kind="stable")[:, : self.k]
         votes = np.asarray(self.labels)[order].sum(axis=1)
-        return [1 if 2 * v > self.k else 0 for v in votes]
+        return [_majority(v, self.k) for v in votes.tolist()]
 
 
 class _KnnLearner(Learner):
@@ -142,7 +155,8 @@ def knn_learner(k: int) -> Learner:
     Distance ties go to the smaller index after canonically sorting the
     learning set; a tied vote predicts 0. k is capped at the learning-set
     size. predict and predict_batch compute the same squared distances: each
-    difference squared as t * t, the squares added left to right.
+    difference squared as t * t, the squares added left to right. Both raise
+    ValueError for a query whose width differs from the learning set's.
     """
     return _KnnLearner(k)
 
@@ -173,7 +187,8 @@ def centroid_learner() -> Learner:
 
     Predicts the label of the closer class mean; a single-class learning set
     yields that class everywhere. The label-0 mean is listed first, so 1-NN's
-    tie rule sends an exact distance tie to 0.
+    tie rule sends an exact distance tie to 0, and a query of the wrong width
+    raises ValueError as it does for knn_learner.
     """
     return _CentroidLearner()
 
@@ -187,11 +202,6 @@ class _StumpPredictor(Predictor):
 
     def predict(self, x):
         return self.label_le if x[self.feature] <= self.threshold else self.label_gt
-
-
-def _majority(ones: int, size: int) -> int:
-    """Majority label of size labels of which ones are 1; a tie gives 0."""
-    return 1 if 2 * ones > size else 0
 
 
 class _StumpLearner(Learner):

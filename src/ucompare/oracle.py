@@ -173,11 +173,10 @@ def exact_estimator_moments(
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n!r}")
-    dim = len(dist.observations[0].x)
     mean_terms = []
     square_terms = []
     for tup, w in _iter_weighted_tuples(dist, n):
-        value = estimator(Dataset(tup, feature_dim=dim))
+        value = estimator(Dataset(tup))
         mean_terms.append(w * value)
         square_terms.append(w * value * value)
     mean = math.fsum(mean_terms)

@@ -2,9 +2,9 @@
 
 The encoder is deliberately hand-rolled: keys keep insertion order and every
 float is written with 17 significant digits, so a report is byte-identical
-across runs with the same inputs and parses back to the same values. Strings
-go through json.dumps, which escapes only backslash, double quote and control
-characters.
+across runs with the same inputs and parses back to the same values. None,
+booleans, integers and strings go through json.dumps, which escapes only
+backslash, double quote and control characters in strings.
 """
 
 from __future__ import annotations
@@ -16,17 +16,9 @@ SCHEMA_VERSION = 1
 
 
 def _encode(value, pieces: list[str]) -> None:
-    if value is None:
-        pieces.append("null")
-    elif value is True:
-        pieces.append("true")
-    elif value is False:
-        pieces.append("false")
-    elif isinstance(value, int):
-        pieces.append(str(value))
-    elif isinstance(value, float):
+    if isinstance(value, float):
         pieces.append(format(value, ".17g"))
-    elif isinstance(value, str):
+    elif value is None or isinstance(value, (int, str)):
         pieces.append(json.dumps(value, ensure_ascii=False))
     elif isinstance(value, (list, tuple)):
         pieces.append("[")

@@ -78,7 +78,7 @@ def sample_dataset(dist: DiscreteDistribution, n: int, rng: np.random.Generator)
         raise ValueError(f"n must be >= 1, got {n!r}")
     picks = rng.choice(dist.support_size, size=n, p=dist.probabilities)
     obs = tuple(dist.observations[int(i)] for i in picks)
-    return Dataset(obs, feature_dim=len(obs[0].x))
+    return Dataset(obs)
 
 
 def squared_point_variance(ev: KernelEvaluator, config: EstimatorConfig) -> VarianceEstimate:

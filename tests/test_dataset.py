@@ -50,7 +50,7 @@ def test_no_header(tmp_path):
     path = write(tmp_path, "1.0,0\n2.0,1\n")
     data = load_csv(path, has_header=False)
     assert data.n == 2
-    assert data.labels == (0, 1)
+    assert [obs.y for obs in data.observations] == [0, 1]
 
 
 def test_nonbinary_label_names_the_row(tmp_path):
@@ -95,7 +95,7 @@ def test_byte_order_mark_dropped_before_header(tmp_path):
     path = tmp_path / "bom.csv"
     path.write_text("y,x1\n0,0.5\n1,1.5\n", encoding="utf-8-sig")
     data = load_csv(path, label_column="y")
-    assert data.labels == (0, 1)
+    assert [obs.y for obs in data.observations] == [0, 1]
     assert [obs.x for obs in data.observations] == [(0.5,), (1.5,)]
 
 
@@ -127,9 +127,18 @@ def test_observation_validation():
 
 def test_dataset_validation():
     with pytest.raises(ValueError, match="empty"):
-        Dataset((), feature_dim=1)
+        Dataset(())
     with pytest.raises(ValueError, match="row 2"):
-        Dataset((Observation((1.0,), 0), Observation((1.0, 2.0), 1)), feature_dim=1)
+        Dataset((Observation((1.0,), 0), Observation((1.0, 2.0), 1)))
+
+
+def test_width_comes_from_first_row():
+    rows = (Observation((1.0, 2.0), 0), Observation((3.0, 4.0), 1))
+    assert Dataset(rows).feature_dim == 2
+    with pytest.raises(ValueError, match="row 3 has 1 features, expected 2"):
+        Dataset(rows + (Observation((5.0,), 0),))
+    with pytest.raises(ValueError, match="empty dataset"):
+        Dataset.from_arrays([], [])
 
 
 def test_roundtrip_exact(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -345,6 +346,25 @@ class TestEstimateVariance:
         assert result.v_hat == 0.0
         assert result.nonpositive
         assert result.degeneracy_warning
+
+    def positive_estimate(self):
+        data = Dataset.from_arrays(
+            [(float(i),) for i in range(8)],
+            [0, 1, 0, 1, 1, 0, 1, 0],
+        )
+        config = EstimatorConfig(draws=300, seed=17, mode=INCOMPLETE)
+        result = estimate_variance(knn_vs_const_on(data), config)
+        assert result.v_hat > 0.0
+        assert not result.nonpositive and not result.degeneracy_warning
+        return result
+
+    def test_nonpositive_follows_v_hat(self):
+        assert dataclasses.replace(self.positive_estimate(), v_hat=-1.0).nonpositive
+
+    def test_degeneracy_warning_follows_kappa_and_theta2(self):
+        result = self.positive_estimate()
+        raised = dataclasses.replace(result, theta2_hat=result.kappa_hats[0] + 0.5)
+        assert raised.degeneracy_warning
 
     def test_negative_difference_warns_at_or_below_tolerance(self):
         # Complete mode on four rows: kappa_1 = -1/12 and theta2 = 1/6, a

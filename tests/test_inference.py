@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from statistics import NormalDist
 
@@ -7,7 +8,13 @@ from hypothesis import strategies as st
 
 from ucompare.designs import hypergeometric_weights
 from ucompare.estimators import VarianceEstimate
-from ucompare.inference import PLUGIN_ASYMPTOTIC, UNBIASED, normal_cdf, normal_quantile
+from ucompare.inference import (
+    PLUGIN_ASYMPTOTIC,
+    UNBIASED,
+    normal_cdf,
+    normal_quantile,
+)
+from ucompare.inference import TestResult as ErrorDifferenceResult
 from ucompare.inference import test_error_difference as run_error_difference_test
 
 Z_975 = 1.959963984540054
@@ -19,8 +26,6 @@ def variance_estimate(v_hat, kappa1, theta2, n=10, m=2):
         kappa_hats=(kappa1,) + (0.0,) * (m - 1),
         theta2_hat=theta2,
         weights=hypergeometric_weights(n, m),
-        nonpositive=v_hat <= 0.0,
-        degeneracy_warning=False,
     )
 
 
@@ -187,6 +192,22 @@ class TestTwoSidedTest:
         assume(abs(result.p_value - alpha) > 1e-9)
         excludes_zero = not (result.ci_low <= 0.0 <= result.ci_high)
         assert result.reject == excludes_zero
+
+
+class TestDerivedVerdict:
+    def test_reject_follows_alpha_across_p_value(self):
+        result = studentized(-0.14, 0.01, alpha=0.05)
+        assert result.p_value == pytest.approx(0.1615, abs=1e-4)
+        assert not result.reject
+        assert dataclasses.replace(result, alpha=0.2).reject
+        assert dataclasses.replace(result, alpha=result.p_value).reject
+        assert not dataclasses.replace(result, alpha=0.1).reject
+
+    def test_degenerate_without_statistic(self):
+        result = ErrorDifferenceResult(0.2, 0.0, 0.05, PLUGIN_ASYMPTOTIC)
+        assert result.degenerate
+        assert result.reject is None
+        assert not studentized(0.2, 0.04).degenerate
 
 
 class TestPluginVariance:

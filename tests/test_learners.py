@@ -78,6 +78,25 @@ class TestKnn:
             knn_learner(0)
 
 
+@pytest.mark.parametrize("learner", [knn_learner(1), centroid_learner()], ids=["knn1", "centroid"])
+@pytest.mark.parametrize("width", [1, 3])
+class TestQueryWidth:
+    """A query must have the learning set's width: (0, 0) labelled 0, (1, 5) labelled 1."""
+
+    LEARNING = obs(((0.0, 0.0), 0), ((1.0, 5.0), 1))
+
+    def test_predict_rejects(self, learner, width):
+        pred = learner.fit(self.LEARNING)
+        assert pred.predict((0.9, 0.0)) == 0
+        with pytest.raises(ValueError, match=f"query has {width} features, .* have 2"):
+            pred.predict((0.9,) + (0.0,) * (width - 1))
+
+    def test_predict_batch_rejects(self, learner, width):
+        pred = learner.fit(self.LEARNING)
+        with pytest.raises(ValueError, match=f"query has {width} features, .* have 2"):
+            pred.predict_batch([(0.9,) + (0.0,) * (width - 1)] * 8)
+
+
 class TestCentroid:
     def test_nearer_centroid_wins(self):
         pred = centroid_learner().fit(obs((0.0, 0), (1.0, 0), (4.0, 1), (5.0, 1)))
