@@ -1,15 +1,19 @@
 """Subset overlap weights, seeded subset sampling, and draw budgets.
 
 Indices are 1-based and refer to dataset rows. Random splits come from
-uniform ordered subsets drawn on seeded streams.
+uniform ordered subsets drawn on seeded streams. Only the streams and the
+sampler use numpy, and they import it when first called, so complete mode,
+which draws nothing, never loads it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Default cap on enumeration sizes (subsets or weighted datasets).
 DEFAULT_ENUMERATION_BUDGET = 10**6
@@ -33,8 +37,11 @@ def make_stream(seed: int, key: tuple[int, ...] = ()) -> np.random.Generator:
     """Deterministic random stream for a seed and sub-stream key.
 
     Streams with distinct keys are statistically independent, and the mapping
-    (seed, key) -> stream is stable across runs and platforms.
+    (seed, key) -> stream is stable across runs and platforms. The first
+    call in a process imports numpy.
     """
+    import numpy as np
+
     ss = np.random.SeedSequence(entropy=seed, spawn_key=key)
     return np.random.Generator(np.random.PCG64(ss))
 
@@ -80,6 +87,8 @@ def sample_ordered_subsets(
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count!r}")
+    import numpy as np
+
     columns = [rng.integers(i, n, size=count) for i in range(k)]
     base = np.arange(1, n + 1, dtype=np.int32)
     chunk_rows = max(1, _POOL_CHUNK_ELEMENTS // n)

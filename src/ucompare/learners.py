@@ -14,8 +14,6 @@ import operator
 from bisect import bisect_right
 from typing import Sequence
 
-import numpy as np
-
 from .dataset import Observation
 
 
@@ -120,6 +118,10 @@ class _KnnPredictor(Predictor):
         return _majority(sum(self.labels[i] for i in order[: self.k]), self.k)
 
     def predict_batch(self, xs):
+        # Imported here: only sampled mode batches predictions, and complete
+        # mode runs without numpy.
+        import numpy as np
+
         q = np.asarray(xs, dtype=float)
         self._check_width(q.shape[1])
         points = np.array(self.points, dtype=float)
