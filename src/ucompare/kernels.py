@@ -6,8 +6,10 @@ symmetrized kernel, averages phi over the g + 1 rotations of a size-(g+1)
 subset through the test position, so it ignores the order of the subset.
 product multiplies phi0 on two windows that share exactly c positions; its
 means are the second-moment quantities behind the variance estimate. Equal
-row multisets share one memo entry. The scalar references on observations,
-which the evaluator is checked against, live in ucompare.oracle.
+row multisets share one memo entry. The evaluator is itself a dict, the phi0
+memo, and phi0 is its lookup: a repeated request is answered in C, and only
+a request that is not a stored key runs Python. The scalar references on
+observations, which the evaluator is checked against, live in ucompare.oracle.
 """
 
 from __future__ import annotations
@@ -22,12 +24,12 @@ from .learners import Learner, misclassification_loss
 # workloads and the tests show fits in under 2,000 keys (sampled-duplicates:
 # at most 1,716 phi0 keys and 787 learning multisets; complete-enum: 680 and
 # 136). Complete mode keys exactly the C(n, m) subsets when no two rows are
-# equal, and fewer otherwise. A complete run that finishes within about 11
+# equal, and fewer otherwise. A complete run that finishes within about 7
 # minutes (n = 22, g = 4) needs at most C(22, 5) = 26,334 phi0 entries; the
 # cheapest complete run with more entries that passes the enumeration budget
-# (n = 20, g = 5) makes about 3 * 10^9 phi0 lookups, about 23 minutes at the
+# (n = 20, g = 5) makes about 3 * 10^9 phi0 lookups, about 16 minutes at the
 # rate of the benchmark's complete-enum workload on a 2-core Xeon host (about
-# 2.1 million lookups per second). The repeated-id memo of phi0 holds at most
+# 3.1 million lookups per second). The repeated-id memo of phi0 holds at most
 # as many entries again.
 MEMO_SIZE = 2**15
 
@@ -70,28 +72,48 @@ def _predict_rows(predictor, xs: list) -> list:
     return predict_batch(xs)
 
 
-class KernelEvaluator:
+class KernelEvaluator(dict):
     """Kernel evaluation against one dataset, with bounded memoization.
 
     Every row gets a class id: the first 1-based index of a row with the same
     (x, y). A multiset of rows is keyed by the sorted tuple of its class ids,
     so value-equal subsets share one entry: determinism guarantees that equal
-    multisets give predictors with identical outputs. There are three memos:
-    `_phi0s` maps the key of a subset of m distinct class ids to its
-    symmetrized value, `_phi0s_repeated` does the same for a key with a
-    repeated class id, and `_learned` maps a learning multiset's key to the
-    list [predictor a, predictor b, complement total], where the total stays
-    None until phi_complement_total computes it. The row a class id names has
-    that id as its own, so an ascending request of distinct class
-    representatives is its own key: phi0 probes `_phi0s` with the request
-    before building a key, and a hit there is a valid request. Complete mode
+    multisets give predictors with identical outputs. There are three memos.
+    The evaluator is itself a dict, the phi0 memo: it maps the key of a
+    subset of m distinct class ids to its symmetrized value. The
+    `_phi0s_repeated` dict does the same for a key with a repeated class id,
+    and `_learned` maps a learning multiset's key to the list [predictor a,
+    predictor b, complement total], where the total stays None until
+    phi_complement_total computes it.
+
+    phi0 is the dict lookup itself, so a request equal to a stored key is
+    answered in C. Such a request is valid and is its own key: the row a
+    class id names has that id as its own, so an ascending tuple of m
+    distinct class representatives is its own key. Every other request
+    (a first request, an unordered tuple, a non-representative row) goes to
+    __missing__, which builds the key and runs the full checks. Requests are
+    tuples; a list is unhashable and raises TypeError. Complete mode
     requests exactly the C(n, m) subsets, each as an ascending tuple; when no
-    two rows are equal, each is its own key and every repeat is answered by
-    that probe.
-    Each holds at most MEMO_SIZE entries and is emptied when an insert finds it
-    full, so a run at any budget keeps bounded memory. Evaluation is
-    single-threaded.
+    two rows are equal, each is its own key and every repeat is answered in C.
+
+    Each memo holds at most MEMO_SIZE entries and is emptied when an insert
+    finds it full, so a run at any budget keeps bounded memory. Attributes
+    live in slots, which a dict subclass reads faster than an instance dict;
+    the `__dict__` slot still lets a caller wrap a method on one instance.
+    Evaluation is single-threaded.
     """
+
+    __slots__ = (
+        "kernel",
+        "data",
+        "_m",
+        "_class_of",
+        "_rows",
+        "_phi0s_repeated",
+        "_learned",
+        "__dict__",
+        "__weakref__",
+    )
 
     def __init__(self, kernel: ComparisonKernel, data: Dataset):
         if kernel.m > data.n:
@@ -108,11 +130,42 @@ class KernelEvaluator:
             i: first_row.setdefault((obs.x, obs.y), i)
             for i, obs in enumerate(data.observations, start=1)
         }.__getitem__
-        # Rows by 1-based index, read only after _key has validated the indices.
+        # Rows by 1-based index, read only after a key has validated the indices.
         self._rows = (None, *data.observations)
-        self._phi0s: dict[tuple, float] = {}
         self._phi0s_repeated: dict[tuple, float] = {}
         self._learned: dict[tuple, list] = {}
+
+    # Symmetrized kernel over a subset (a tuple of m distinct row indices),
+    # memoized by its class-id key; see the class docstring and __missing__.
+    phi0 = dict.__getitem__
+
+    def __missing__(self, request: tuple[int, ...]) -> float:
+        """phi0 of a request that is not a stored key.
+
+        Builds the request's class-id key (IndexError outside 1..n) and checks
+        that the request names m distinct rows. A key of m distinct class ids
+        is kept in the evaluator, a key with a repeated class id in
+        `_phi0s_repeated`. A key with repeated class ids, such as (1, 1, 2),
+        is never a key of the evaluator, so the lookup cannot answer the
+        invalid request (1, 1, 2).
+        """
+        m = self._m
+        try:
+            key = tuple(sorted(map(self._class_of, request)))
+        except KeyError as exc:
+            raise IndexError(f"index {exc.args[0]!r} outside 1..{self.data.n}") from None
+        if len(key) != m or len(set(request)) != m:
+            raise ValueError(f"need {m} distinct indices, got {tuple(request)}")
+        memo = self if len(set(key)) == m else self._phi0s_repeated
+        result = memo.get(key)
+        if result is None:
+            members = sorted(request)
+            values = [
+                self.phi(tuple(members[:i] + members[i + 1 :]), members[i])
+                for i in range(m)
+            ]
+            result = _remember(memo, key, sum(values) / m)
+        return result
 
     def _key(self, indices: Iterable[int]) -> tuple[int, ...]:
         """Sorted class ids of the rows at indices; IndexError outside 1..n."""
@@ -151,39 +204,6 @@ class KernelEvaluator:
             pred_b.predict(obs.x), obs.y
         )
 
-    def phi0(self, member_indices: Sequence[int]) -> float:
-        """Symmetrized kernel over a subset, memoized by its class-id key.
-
-        The request itself is looked up first. A key of m distinct class ids
-        is kept in `_phi0s`, a key with a repeated class id in
-        `_phi0s_repeated`. The row a class id names has that id as its own,
-        so a request equal to a key in `_phi0s` is m distinct valid indices
-        and is its own key: a hit there needs no further check. A key with
-        repeated class ids, such as (1, 1, 2), is never probed, so it cannot
-        answer the invalid request (1, 1, 2). Every other request (a miss, a
-        list, an unordered tuple) builds its key and runs the full checks.
-        """
-        try:
-            result = self._phi0s.get(member_indices)
-        except TypeError:  # unhashable, such as a list
-            result = None
-        if result is not None:
-            return result
-        m = self._m
-        key = self._key(member_indices)
-        if len(key) != m or len(set(member_indices)) != m:
-            raise ValueError(f"need {m} distinct indices, got {tuple(member_indices)}")
-        memo = self._phi0s if len(set(key)) == m else self._phi0s_repeated
-        result = memo.get(key)
-        if result is None:
-            members = sorted(member_indices)
-            values = [
-                self.phi(tuple(members[:i] + members[i + 1 :]), members[i])
-                for i in range(m)
-            ]
-            result = _remember(memo, key, sum(values) / m)
-        return result
-
     def phi_complement_total(self, learn_indices: Sequence[int]) -> int:
         """Sum of phi over every row outside learn_indices, fitting once.
 
@@ -209,10 +229,10 @@ class KernelEvaluator:
     def product(self, indices: Sequence[int], overlap: int) -> float:
         """Product of symmetrized values on the two standard windows.
 
-        indices has length 2m - overlap; the windows are the first m and the
-        last m positions, sharing exactly `overlap` middle positions.
+        indices is a tuple of length 2m - overlap; the windows are the first
+        m and the last m positions, sharing exactly `overlap` middle positions.
         """
-        m = self.kernel.m
+        m = self._m
         if not 0 <= overlap <= m:
             raise ValueError(f"overlap must lie in 0..{m}, got {overlap}")
         if len(indices) != 2 * m - overlap:

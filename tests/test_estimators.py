@@ -280,6 +280,26 @@ class TestSecondMomentEstimates:
         assert all(type(r) is tuple and list(r) == sorted(r) for r in requests)
         assert len(set(requests)) == math.comb(n, g + 1)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_complete_mode_misses_once_per_subset(self, g, monkeypatch):
+        # On duplicate-free data each ascending request is its own key, so a
+        # complete run enters __missing__ once per subset and every repeat
+        # is answered by the dict lookup in C.
+        n = 2 * g + 3
+        misses = []
+        missing = KernelEvaluator.__missing__
+
+        def counted(evaluator, request):
+            misses.append(request)
+            return missing(evaluator, request)
+
+        monkeypatch.setattr(KernelEvaluator, "__missing__", counted)
+        ev = knn_vs_const_on(alternating_rows(n), g)
+        estimate_delta(ev, complete_config())
+        estimate_variance(ev, complete_config())
+        assert len(misses) == len(set(misses)) == math.comb(n, g + 1)
+
     def test_disjoint_window_complete_value(self):
         # The three pairings of {1,2,3,4} into two disjoint pairs give
         # products 1/4, 1/4, 0, so the mean is 1/6.

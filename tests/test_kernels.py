@@ -1,5 +1,7 @@
+import gc
 import itertools
 import math
+import weakref
 
 import pytest
 
@@ -261,8 +263,9 @@ class TestKernelEvaluator:
 
     def test_request_probe_agrees_with_class_key(self):
         # Rows 4 and 5 repeat rows 1 and 2, so (1, 2, 6) is an ascending
-        # request of class representatives, answered by the request itself
+        # request of class representatives, answered by the dict lookup
         # once cached, and (4, 5, 6), (6, 5, 1) name the same multiset.
+        # Requests are tuples: a list is unhashable.
         data = Dataset.from_arrays(
             [(0.0,), (1.0,), (2.0,), (0.0,), (1.0,), (3.0,)],
             [0, 1, 1, 0, 1, 0],
@@ -270,11 +273,14 @@ class TestKernelEvaluator:
         kernel = knn_vs_const(2)
         expected = phi0_value(kernel, observations_at(data, (1, 2, 6)))
         assert expected != 0.0
-        equal_requests = [(1, 2, 6), (4, 5, 6), (6, 5, 1), [1, 2, 6], [6, 4, 2]]
+        equal_requests = [(1, 2, 6), (4, 5, 6), (6, 5, 1)]
         for first in range(len(equal_requests)):
             ev = KernelEvaluator(kernel, data)
             order = equal_requests[first:] + equal_requests[:first]
             assert [ev.phi0(r) for r in order + order] == [expected] * (2 * len(order))
+            for request in ([1, 2, 6], [6, 4, 2]):
+                with pytest.raises(TypeError):
+                    ev.phi0(request)
 
     def test_complement_total_matches_explicit_sum(self):
         data = Dataset.from_arrays(
@@ -452,3 +458,26 @@ class TestMemoBound:
         assert len(fitted) == 4
         assert ev.phi_complement_total((1, 2)) == total
         assert len(fitted) == 5
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_evaluator_freed_by_reference_counting(self):
+        # The evaluator is its own memo and holds no reference back to
+        # itself, so after complete and sampled estimates it is freed as
+        # soon as its last name goes, without the cycle collector.
+        ev = KernelEvaluator(
+            ComparisonKernel(knn_learner(1), stump_learner(), g=2), eight_rows_of_five_atoms()
+        )
+        for mode in (COMPLETE, INCOMPLETE):
+            config = EstimatorConfig(draws=50, seed=1, mode=mode)
+            estimate_delta(ev, config)
+            estimate_variance(ev, config)
+        assert ev and ev._phi0s_repeated and ev._learned
+        ref = weakref.ref(ev)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del ev
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
