@@ -11,9 +11,9 @@ estimator reads the kernel and the sample from one KernelEvaluator and its
 draw budget, seed and mode from one EstimatorConfig.
 
 Determinism: every statistic derives its own stream from (seed, statistic
-key), the draw list is generated up front, and reductions use exact
-summation in draw order, so results are reproducible. Evaluation is
-single-threaded.
+key), the draw list is generated up front, and reductions use math.fsum,
+which is correctly rounded, so a sum does not depend on the order of its
+terms and results are reproducible. Evaluation is single-threaded.
 """
 
 from __future__ import annotations
@@ -136,8 +136,7 @@ def complete_u_statistic(
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
     count = _enumeration_size(n, m)
-    values = [kernel_eval(s) for s in itertools.combinations(range(1, n + 1), m)]
-    return math.fsum(values) / count
+    return math.fsum(map(kernel_eval, itertools.combinations(range(1, n + 1), m))) / count
 
 
 def incomplete_u_statistic(
@@ -178,52 +177,49 @@ def estimate_delta(evaluator: KernelEvaluator, config: EstimatorConfig) -> float
     return math.fsum(totals) / (config.draws * (n - g))
 
 
-def _window_pairs(m: int, c: int) -> list[tuple[Callable, Callable]]:
-    """Ordered pairs of size-m windows sharing c positions, over a size-(2m - c) subset.
+def _window_pairs(m: int, c: int) -> tuple[Callable, int]:
+    """Gather for the ordered pairs of size-m windows sharing c positions.
 
-    Each pair is two itemgetters over the subset's positions: the first
-    window, then the second, made of c shared positions and the m - c
-    positions outside the first window. Both windows list their positions
-    in ascending order, so on an ascending subset every phi0 request is an
-    ascending tuple, which the evaluator answers by the request itself.
-    The pair order (first window, then shared positions, both in
-    combinations order) fixes the summation order of _symmetrized_product.
+    Returns (pick, pairs). pick maps the list of a size-(2m - c) subset's
+    windows, list(itertools.combinations(members, m)), to the flat sequence
+    first, second, first, second, ... of every ordered window pair: the
+    first window, then the second, made of c shared positions and the m - c
+    positions outside the first window, in this nested-loop order. pairs
+    counts the pairs. Every window lists its members at ascending positions,
+    so on an ascending subset every phi0 request is an ascending tuple, which
+    the evaluator answers in C once it has seen the subset. The fsum of the
+    products depends only on the multiset of pairs, not on their order.
     """
     positions = range(2 * m - c)
-    pairs = []
-    for first in itertools.combinations(positions, m):
+    windows = list(itertools.combinations(positions, m))
+    index = {window: i for i, window in enumerate(windows)}
+    picks = []
+    for i, first in enumerate(windows):
         rest = tuple(p for p in positions if p not in first)
         for shared in itertools.combinations(first, c):
-            second = sorted(shared + rest)
-            pairs.append((operator.itemgetter(*first), operator.itemgetter(*second)))
-    return pairs
-
-
-def _symmetrized_product(
-    evaluator: KernelEvaluator, members: tuple[int, ...], pairs: list[tuple[Callable, Callable]]
-) -> float:
-    """Average the overlap-c product kernel over all window choices in a subset.
-
-    pairs is _window_pairs(m, c). Equivalent to averaging the ordered-tuple
-    product kernel over every ordering of the subset, because the
-    symmetrized kernel ignores order within each window.
-    """
-    phi0 = evaluator.phi0
-    values = [phi0(first(members)) * phi0(second(members)) for first, second in pairs]
-    return math.fsum(values) / len(pairs)
+            picks += (i, index[tuple(sorted(shared + rest))])
+    return operator.itemgetter(*picks), len(picks) // 2
 
 
 def _estimate_product(
     evaluator: KernelEvaluator, c: int, config: EstimatorConfig, stream_key: tuple[int, ...]
 ) -> float:
-    n = evaluator.data.n
-    degree = 2 * evaluator.kernel.m - c
+    n, m = evaluator.data.n, evaluator.kernel.m
+    degree = 2 * m - c
     _require_degree(n, degree, f"the overlap-{c} product statistic")
     if config.mode == COMPLETE:
-        pairs = _window_pairs(evaluator.kernel.m, c)
-        return complete_u_statistic(
-            lambda members: _symmetrized_product(evaluator, members, pairs), n, degree
-        )
+        # The average of the overlap-c product kernel over every window pair
+        # of a subset equals its average over every ordering of the subset,
+        # because the symmetrized kernel ignores order within each window.
+        # One iterator feeds both factors, so map pairs consecutive requests.
+        phi0 = evaluator.phi0
+        pick, pairs = _window_pairs(m, c)
+
+        def pair_mean(members: tuple[int, ...]) -> float:
+            values = map(phi0, pick(list(itertools.combinations(members, m))))
+            return math.fsum(map(operator.mul, values, values)) / pairs
+
+        return complete_u_statistic(pair_mean, n, degree)
     return incomplete_u_statistic(
         lambda t: evaluator.product(t, c),
         n,

@@ -24,12 +24,12 @@ from .learners import Learner, misclassification_loss
 # workloads and the tests show fits in under 2,000 keys (sampled-duplicates:
 # at most 1,716 phi0 keys and 787 learning multisets; complete-enum: 680 and
 # 136). Complete mode keys exactly the C(n, m) subsets when no two rows are
-# equal, and fewer otherwise. A complete run that finishes within about 7
+# equal, and fewer otherwise. A complete run that finishes within about 5
 # minutes (n = 22, g = 4) needs at most C(22, 5) = 26,334 phi0 entries; the
 # cheapest complete run with more entries that passes the enumeration budget
-# (n = 20, g = 5) makes about 3 * 10^9 phi0 lookups, about 16 minutes at the
+# (n = 20, g = 5) makes about 3 * 10^9 phi0 lookups, about 10 minutes at the
 # rate of the benchmark's complete-enum workload on a 2-core Xeon host (about
-# 3.1 million lookups per second). The repeated-id memo of phi0 holds at most
+# 5.0 million lookups per second). The repeated-id memo of phi0 holds at most
 # as many entries again.
 MEMO_SIZE = 2**15
 

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import random
 
 import pytest
 
@@ -25,7 +26,7 @@ from ucompare.estimators import (
     incomplete_u_statistic,
 )
 from ucompare.kernels import ComparisonKernel, KernelEvaluator
-from ucompare.learners import constant_learner, knn_learner
+from ucompare.learners import constant_learner, knn_learner, stump_learner
 
 
 def four_rows() -> Dataset:
@@ -48,6 +49,18 @@ def knn_vs_const(g: int = 1) -> ComparisonKernel:
 
 def alternating_rows(n: int) -> Dataset:
     return Dataset.from_arrays([(float(i),) for i in range(n)], [i % 2 for i in range(n)])
+
+
+def few_atom_rows(n: int) -> Dataset:
+    """n rows cycling through three (x, y) atoms, so most subsets repeat one."""
+    xs, ys = [(0.0,), (1.0,), (2.0,)], [0, 1, 0]
+    return Dataset.from_arrays([xs[i % 3] for i in range(n)], [ys[i % 3] for i in range(n)])
+
+
+def gaussian_rows(n: int, seed: int = 3) -> Dataset:
+    rng = random.Random(seed)
+    xs = [(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)) for _ in range(n)]
+    return Dataset.from_arrays(xs, [int(x + rng.gauss(0.0, 1.0) > 0) for x, _ in xs])
 
 
 def complete_config() -> EstimatorConfig:
@@ -242,10 +255,12 @@ class TestSecondMomentEstimates:
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_window_pairs_keep_the_nested_loop_order(self, m):
-        # The window pairs fix the summation order of the complete product
-        # statistic, so they must come in the order of this nested loop for
-        # its fsum to stay bit-identical. The second window lists its
-        # members at ascending positions.
+        # The gather must request exactly the window pairs of this nested
+        # loop. fsum is correctly rounded, so the multiset of pairs fixes
+        # the statistic, whatever their order; the order is pinned too, so
+        # the request sequence stays the same. Every window lists its rows
+        # at ascending positions, so on an ascending subset every request
+        # is ascending and each repeat is answered by the C lookup.
         for c in range(m + 1):
             members = (40, 7, 23, 11, 35, 2, 19, 30)[: 2 * m - c]
             expected = []
@@ -253,10 +268,14 @@ class TestSecondMomentEstimates:
                 rest = tuple(i for i in members if i not in first)
                 for shared in itertools.combinations(first, c):
                     second = tuple(i for i in members if i in shared + rest)
-                    expected.append((first, second))
-            pairs = [(first(members), second(members)) for first, second in _window_pairs(m, c)]
-            assert pairs == expected
-            assert len(pairs) == math.comb(2 * m - c, c) * math.comb(2 * m - 2 * c, m - c)
+                    expected += (first, second)
+            pick, pairs = _window_pairs(m, c)
+            assert list(pick(list(itertools.combinations(members, m)))) == expected
+            assert pairs == len(expected) // 2
+            assert pairs == math.comb(2 * m - c, c) * math.comb(2 * m - 2 * c, m - c)
+            ascending = tuple(sorted(members))
+            requests = pick(list(itertools.combinations(ascending, m)))
+            assert all(list(r) == sorted(r) for r in requests)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("g", [1, 2, 3])
@@ -299,6 +318,61 @@ class TestSecondMomentEstimates:
         estimate_delta(ev, complete_config())
         estimate_variance(ev, complete_config())
         assert len(misses) == len(set(misses)) == math.comb(n, g + 1)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("rows", ["distinct", "few atoms"])
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_complete_mode_request_count(self, g, rows):
+        # Delta requests every m-subset once; each size-(2m - c) subset of
+        # the overlap-c statistic requests both windows of its
+        # C(2m - c, c) * C(2m - 2c, m - c) window pairs (c = 0 is theta2).
+        n, m = 2 * g + 3, g + 1
+        data = alternating_rows(n) if rows == "distinct" else few_atom_rows(n)
+        ev = knn_vs_const_on(data, g)
+        requests = 0
+        inner = ev.phi0
+
+        def counted(members):
+            nonlocal requests
+            requests += 1
+            return inner(members)
+
+        ev.phi0 = counted
+        estimate_delta(ev, complete_config())
+        estimate_variance(ev, complete_config())
+        pairs = sum(
+            math.comb(n, 2 * m - c) * math.comb(2 * m - c, c) * math.comb(2 * m - 2 * c, m - c)
+            for c in range(m + 1)
+        )
+        assert requests == math.comb(n, m) + 2 * pairs
+
+    @pytest.mark.parametrize("rows", ["few atoms", "gaussian"])
+    @pytest.mark.parametrize("g", [1, 2])
+    def test_complete_products_match_the_nested_loop_bit_for_bit(self, g, rows):
+        # The reference is the nested loop over window pairs: fsum of each
+        # subset's fsum(products) / pairs, divided by C(n, 2m - c). On few
+        # atoms most requests carry repeated class ids or share a key.
+        n, m = 9, g + 1
+        data = few_atom_rows(n) if rows == "few atoms" else gaussian_rows(n)
+        kernel = ComparisonKernel(knn_learner(3), stump_learner(), g=g)
+        phi0 = KernelEvaluator(kernel, data).phi0
+
+        def reference(c):
+            means = []
+            for members in itertools.combinations(range(1, n + 1), 2 * m - c):
+                products = []
+                for first in itertools.combinations(members, m):
+                    rest = tuple(i for i in members if i not in first)
+                    for shared in itertools.combinations(first, c):
+                        second = tuple(i for i in members if i in shared + rest)
+                        products.append(phi0(first) * phi0(second))
+                means.append(math.fsum(products) / len(products))
+            return math.fsum(means) / math.comb(n, 2 * m - c)
+
+        ev = KernelEvaluator(kernel, data)
+        for c in range(1, m + 1):
+            assert estimate_kappa_c(ev, c, complete_config()) == reference(c)
+        assert estimate_theta2(ev, complete_config()) == reference(0)
 
     def test_disjoint_window_complete_value(self):
         # The three pairings of {1,2,3,4} into two disjoint pairs give
