@@ -29,7 +29,6 @@ from .estimators import (
     estimate_kappa_c,
     estimate_theta2,
     estimate_variance,
-    incomplete_u_statistic,
 )
 from .inference import TestResult, normal_cdf, normal_quantile, test_error_difference
 from .kernels import ComparisonKernel, KernelEvaluator

@@ -255,6 +255,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
             "rng": RNG_ALGORITHM,
             "threads": threads,
             "wall_time_s": time.perf_counter() - started,
+            "phi0_evaluations": evaluator.phi0_evaluations,
+            "pair_fits": evaluator.pair_fits,
         },
     )
     print(report.to_json())

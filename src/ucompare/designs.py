@@ -72,16 +72,15 @@ def hypergeometric_weights(n: int, m: int) -> HypergeometricWeights:
     return HypergeometricWeights(n=n, m=m, alpha=alpha)
 
 
-def sample_ordered_subsets(
-    n: int, k: int, count: int, rng: np.random.Generator
-) -> list[tuple[int, ...]]:
-    """count independent uniform ordered k-subsets of {1..n}.
+def sample_ordered_subsets(n: int, k: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """count independent uniform ordered k-subsets of {1..n}, as an int32 array.
 
-    Each draw is a partial Fisher-Yates shuffle. The stream is consumed one
-    position at a time across the whole batch, which needs k generator calls
-    instead of count * k; a fixed stream state reproduces the batch exactly.
-    The shuffles run on chunks of at most _POOL_CHUNK_ELEMENTS pool entries,
-    one row per draw, one column swap per position.
+    Row d of the (count, k) result is draw d, a partial Fisher-Yates
+    shuffle. The stream is consumed one position at a time across the whole
+    batch, which needs k generator calls instead of count * k; a fixed
+    stream state reproduces the batch exactly. The shuffles run on chunks of
+    at most _POOL_CHUNK_ELEMENTS pool entries, one row per draw, one column
+    swap per position.
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
@@ -92,7 +91,7 @@ def sample_ordered_subsets(
     columns = [rng.integers(i, n, size=count) for i in range(k)]
     base = np.arange(1, n + 1, dtype=np.int32)
     chunk_rows = max(1, _POOL_CHUNK_ELEMENTS // n)
-    draws = []
+    draws = np.empty((count, k), dtype=np.int32)
     for start in range(0, count, chunk_rows):
         stop = min(start + chunk_rows, count)
         pool = np.tile(base, (stop - start, 1))
@@ -102,8 +101,7 @@ def sample_ordered_subsets(
             picked = pool[rows, j]
             pool[rows, j] = pool[:, i]
             pool[:, i] = picked
-        # One Python list per position; zip turns them into the draw tuples.
-        draws.extend(zip(*pool[:, :k].T.tolist()))
+        draws[start:stop] = pool[:, :k]
     return draws
 
 

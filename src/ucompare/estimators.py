@@ -11,7 +11,7 @@ estimator reads the kernel and the sample from one KernelEvaluator and its
 draw budget, seed and mode from one EstimatorConfig.
 
 Determinism: every statistic derives its own stream from (seed, statistic
-key), the draw list is generated up front, and reductions use math.fsum,
+key), the draw array is generated up front, and reductions use math.fsum,
 which is correctly rounded, so a sum does not depend on the order of its
 terms and results are reproducible. Evaluation is single-threaded.
 """
@@ -23,7 +23,7 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .designs import (
     DEFAULT_ENUMERATION_BUDGET,
@@ -35,6 +35,9 @@ from .designs import (
 )
 from .kernels import KernelEvaluator, SampleTooSmallError
 
+if TYPE_CHECKING:
+    import numpy as np
+
 COMPLETE = "complete"
 INCOMPLETE = "incomplete"
 
@@ -45,6 +48,10 @@ _STREAM_THETA2 = (1,)
 _STREAM_KAPPA = 2
 
 NONDEGENERACY_TOL = 1e-8
+
+# Sampled draws converted to Python objects (index lists, phi0 keys) at a
+# time; this bounds the objects alive at once.
+_CHUNK_DRAWS = 2**10
 
 
 @dataclass(frozen=True)
@@ -139,25 +146,17 @@ def complete_u_statistic(
     return math.fsum(map(kernel_eval, itertools.combinations(range(1, n + 1), m))) / count
 
 
-def incomplete_u_statistic(
-    kernel_eval: Callable[[tuple[int, ...]], float], n: int, m: int, draws: int, rng
-) -> float:
-    """Average of an ordered-subset kernel over independent uniform draws."""
-    if not 1 <= m <= n:
-        raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
-    if draws < 1:
-        raise ValueError(f"draws must be >= 1, got {draws!r}")
-    subsets = sample_ordered_subsets(n, m, draws, rng)
-    values = [kernel_eval(s) for s in subsets]
-    return math.fsum(values) / draws
-
-
 def _require_degree(n: int, degree: int, what: str) -> None:
     if degree > n:
         raise SampleTooSmallError(
             f"{what} has degree {degree}, which needs n >= {degree}; got n = {n}. "
             f"The variance statistics require n >= 2g + 2."
         )
+
+
+def _chunks(draws: np.ndarray) -> Iterator[np.ndarray]:
+    """Consecutive row blocks of a draw array, _CHUNK_DRAWS rows at most."""
+    return (draws[start : start + _CHUNK_DRAWS] for start in range(0, len(draws), _CHUNK_DRAWS))
 
 
 def estimate_delta(evaluator: KernelEvaluator, config: EstimatorConfig) -> float:
@@ -173,7 +172,9 @@ def estimate_delta(evaluator: KernelEvaluator, config: EstimatorConfig) -> float
         return complete_u_statistic(evaluator.phi0, n, g + 1)
     stream = make_stream(config.seed, _STREAM_DELTA)
     draws = sample_ordered_subsets(n, g, config.draws, stream)
-    totals = [evaluator.phi_complement_total(d) for d in draws]
+    totals: list[int] = []
+    for chunk in _chunks(draws):
+        totals += map(evaluator.phi_complement_total, chunk.tolist())
     return math.fsum(totals) / (config.draws * (n - g))
 
 
@@ -220,13 +221,18 @@ def _estimate_product(
             return math.fsum(map(operator.mul, values, values)) / pairs
 
         return complete_u_statistic(pair_mean, n, degree)
-    return incomplete_u_statistic(
-        lambda t: evaluator.product(t, c),
-        n,
-        degree,
-        config.draws,
-        make_stream(config.seed, stream_key),
-    )
+    # Each draw's first window is its first m rows and its second the last
+    # m, sharing the c middle rows; at full overlap they coincide. The
+    # windows go to product as keys, converted a bounded chunk at a time.
+    draws = sample_ordered_subsets(n, degree, config.draws, make_stream(config.seed, stream_key))
+    keys, product = evaluator.phi0_keys, evaluator.product
+    products: list[float] = []
+    for chunk in _chunks(draws):
+        windows = [keys(chunk[:, :m])]
+        if c < m:
+            windows.append(keys(chunk[:, m - c :]))
+        products += map(product, *windows)
+    return math.fsum(products) / config.draws
 
 
 def estimate_kappa_c(evaluator: KernelEvaluator, c: int, config: EstimatorConfig) -> float:

@@ -4,21 +4,27 @@ phi trains both algorithms on g rows and scores the difference of their
 misclassifications on one held-out row, an integer in {-1, 0, 1}. phi0, the
 symmetrized kernel, averages phi over the g + 1 rotations of a size-(g+1)
 subset through the test position, so it ignores the order of the subset.
-product multiplies phi0 on two windows that share exactly c positions; its
-means are the second-moment quantities behind the variance estimate. Equal
-row multisets share one memo entry. The evaluator is itself a dict, the phi0
-memo, and phi0 is its lookup: a repeated request is answered in C, and only
-a request that is not a stored key runs Python. The scalar references on
-observations, which the evaluator is checked against, live in ucompare.oracle.
+product multiplies phi0 on the two windows of one draw, or squares it on one
+window; its means are the second-moment quantities behind the variance
+estimate. Equal row multisets share one memo entry, under a key that is
+itself a valid request. The evaluator is itself a dict, the phi0 memo, and
+phi0 is its lookup: a request equal to a key is answered in C, and any
+other request runs Python. phi0_keys turns arrays of windows into keys in
+bulk, so the sampled estimators request keys and a repeated multiset costs
+one lookup. The scalar references on observations, which the evaluator is
+checked against, live in ucompare.oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .dataset import Dataset
 from .learners import Learner, misclassification_loss
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Entries a memo holds before it is emptied. Every reuse the benchmark
 # workloads and the tests show fits in under 2,000 keys (sampled-duplicates:
@@ -29,8 +35,7 @@ from .learners import Learner, misclassification_loss
 # cheapest complete run with more entries that passes the enumeration budget
 # (n = 20, g = 5) makes about 3 * 10^9 phi0 lookups, about 10 minutes at the
 # rate of the benchmark's complete-enum workload on a 2-core Xeon host (about
-# 5.0 million lookups per second). The repeated-id memo of phi0 holds at most
-# as many entries again.
+# 5.0 million lookups per second).
 MEMO_SIZE = 2**15
 
 
@@ -75,26 +80,35 @@ def _predict_rows(predictor, xs: list) -> list:
 class KernelEvaluator(dict):
     """Kernel evaluation against one dataset, with bounded memoization.
 
-    Every row gets a class id: the first 1-based index of a row with the same
-    (x, y). A multiset of rows is keyed by the sorted tuple of its class ids,
-    so value-equal subsets share one entry: determinism guarantees that equal
-    multisets give predictors with identical outputs. There are three memos.
-    The evaluator is itself a dict, the phi0 memo: it maps the key of a
-    subset of m distinct class ids to its symmetrized value. The
-    `_phi0s_repeated` dict does the same for a key with a repeated class id,
-    and `_learned` maps a learning multiset's key to the list [predictor a,
-    predictor b, complement total], where the total stays None until
+    Rows with the same (x, y) form a class, whose id is its first 1-based
+    row. Determinism guarantees that equal multisets of rows give predictors
+    with identical outputs, so results are memoized per multiset, in two
+    memos. The evaluator is itself a dict, the phi0 memo: it maps the key of
+    a size-m multiset to its symmetrized value. A multiset in which class k
+    appears r times has as key the first r rows of class k, in index order,
+    for every class in it, the whole tuple sorted ascending. So a key names
+    m distinct rows in 1..n, equal multisets get equal keys, and a key is a
+    valid request that is its own key; when no two rows are equal, the key
+    of a request is the sorted request. `_learned` maps a learning
+    multiset's sorted class ids to the list [predictor a, predictor b,
+    complement total], where the total stays None until
     phi_complement_total computes it.
 
     phi0 is the dict lookup itself, so a request equal to a stored key is
-    answered in C. Such a request is valid and is its own key: the row a
-    class id names has that id as its own, so an ascending tuple of m
-    distinct class representatives is its own key. Every other request
-    (a first request, an unordered tuple, a non-representative row) goes to
-    __missing__, which builds the key and runs the full checks. Requests are
-    tuples; a list is unhashable and raises TypeError. Complete mode
-    requests exactly the C(n, m) subsets, each as an ascending tuple; when no
-    two rows are equal, each is its own key and every repeat is answered in C.
+    answered in C. Every other request (a first request, an unordered
+    tuple, a row that is not among its class's first rows) goes to
+    __missing__, which checks it, builds its key and evaluates the key's
+    multiset unless the memo holds it. An invalid request such as (1, 1, 2)
+    is never a key, so the lookup cannot answer it. Requests are tuples; a
+    list is unhashable and raises TypeError. Complete mode requests exactly
+    the C(n, m) subsets, each as an ascending tuple; when no two rows are
+    equal, each is its own key and every repeat is answered in C. The
+    sampled estimators turn their windows into keys with phi0_keys, so
+    there every repeated multiset is answered in C.
+
+    Two plain int counters record the work done: phi0_evaluations counts
+    the symmetrized values computed and pair_fits the fits of the learner
+    pair, one per multiset that its memo did not hold.
 
     Each memo holds at most MEMO_SIZE entries and is emptied when an insert
     finds it full, so a run at any budget keeps bounded memory. Attributes
@@ -106,11 +120,14 @@ class KernelEvaluator(dict):
     __slots__ = (
         "kernel",
         "data",
+        "phi0_evaluations",
+        "pair_fits",
         "_m",
         "_class_of",
+        "_members",
         "_rows",
-        "_phi0s_repeated",
         "_learned",
+        "_key_tables",
         "__dict__",
         "__weakref__",
     )
@@ -122,50 +139,96 @@ class KernelEvaluator(dict):
             )
         self.kernel = kernel
         self.data = data
+        self.phi0_evaluations = 0
+        self.pair_fits = 0
         self._m = kernel.m
-        first_row: dict[tuple, int] = {}
+        classes: dict[tuple, list[int]] = {}
+        for i, obs in enumerate(data.observations, start=1):
+            classes.setdefault((obs.x, obs.y), []).append(i)
+        # Each class's rows in index order, by class id.
+        self._members = {rows[0]: tuple(rows) for rows in classes.values()}
         # A dict's lookup, not a list's: a negative index must fail, not wrap
         # around. Bound once, because every kernel request calls it.
-        self._class_of = {
-            i: first_row.setdefault((obs.x, obs.y), i)
-            for i, obs in enumerate(data.observations, start=1)
-        }.__getitem__
+        self._class_of = {i: k for k, rows in self._members.items() for i in rows}.__getitem__
         # Rows by 1-based index, read only after a key has validated the indices.
         self._rows = (None, *data.observations)
-        self._phi0s_repeated: dict[tuple, float] = {}
         self._learned: dict[tuple, list] = {}
+        # phi0_keys's numpy tables, built on its first call.
+        self._key_tables = None
 
     # Symmetrized kernel over a subset (a tuple of m distinct row indices),
-    # memoized by its class-id key; see the class docstring and __missing__.
+    # memoized by its key; see the class docstring and __missing__.
     phi0 = dict.__getitem__
 
     def __missing__(self, request: tuple[int, ...]) -> float:
         """phi0 of a request that is not a stored key.
 
-        Builds the request's class-id key (IndexError outside 1..n) and checks
-        that the request names m distinct rows. A key of m distinct class ids
-        is kept in the evaluator, a key with a repeated class id in
-        `_phi0s_repeated`. A key with repeated class ids, such as (1, 1, 2),
-        is never a key of the evaluator, so the lookup cannot answer the
-        invalid request (1, 1, 2).
+        Checks that the request names m distinct rows in 1..n (IndexError
+        outside that range, ValueError otherwise), builds its key, and
+        evaluates phi on the key's rows unless the memo holds the key.
         """
         m = self._m
         try:
-            key = tuple(sorted(map(self._class_of, request)))
+            ids = sorted(map(self._class_of, request))
         except KeyError as exc:
             raise IndexError(f"index {exc.args[0]!r} outside 1..{self.data.n}") from None
-        if len(key) != m or len(set(request)) != m:
+        if len(ids) != m or len(set(request)) != m:
             raise ValueError(f"need {m} distinct indices, got {tuple(request)}")
-        memo = self if len(set(key)) == m else self._phi0s_repeated
-        result = memo.get(key)
+        key = tuple(ids)
+        if len(set(ids)) != m:
+            # A class that appears r times stands for its first r rows: the
+            # id k at sorted position j takes row j - ids.index(k) of class k.
+            members = self._members
+            key = tuple(sorted([members[k][j - ids.index(k)] for j, k in enumerate(ids)]))
+        result = self.get(key)
         if result is None:
-            members = sorted(request)
-            values = [
-                self.phi(tuple(members[:i] + members[i + 1 :]), members[i])
-                for i in range(m)
-            ]
-            result = _remember(memo, key, sum(values) / m)
+            values = [self.phi(key[:i] + key[i + 1 :], key[i]) for i in range(m)]
+            self.phi0_evaluations += 1
+            result = _remember(self, key, sum(values) / m)
         return result
+
+    def phi0_keys(self, windows: np.ndarray) -> list[tuple[int, ...]]:
+        """The phi0 keys of the rows of windows, an integer array of shape (count, m).
+
+        Each key equals the one __missing__ builds for that row as a request,
+        after the same checks: IndexError for an index outside 1..n and
+        ValueError for a window that repeats an index. The first call imports
+        numpy and builds the lookup tables.
+        """
+        import numpy as np
+
+        n, m = self.data.n, self._m
+        if windows.ndim != 2 or windows.shape[1] != m:
+            raise ValueError(f"need windows of {m} indices, got shape {windows.shape}")
+        if windows.size and not (windows.min() >= 1 and windows.max() <= n):
+            raise IndexError(f"window index outside 1..{n}")
+        if self._key_tables is None:
+            # by_class lists every class's rows in index order, class after
+            # class; place[i] is where row i sits in it, and class_start[p]
+            # where the class of the row at p starts.
+            members = self._members
+            by_class = np.array([i for rows in members.values() for i in rows])
+            place = np.empty(n + 1, dtype=np.int64)
+            place[by_class] = np.arange(n)
+            class_start = place[[k for k, rows in members.items() for _ in rows]]
+            self._key_tables = by_class, place, class_start
+        by_class, place, class_start = self._key_tables
+        # Sorted places group each window's rows by class; a repeated index
+        # shows as two equal neighbours. A stable sort of these short rows
+        # touches less new numpy code, so less resident memory, than the
+        # default one.
+        ordered = np.sort(place[windows], axis=1, kind="stable")
+        if (ordered[:, 1:] == ordered[:, :-1]).any():
+            raise ValueError(f"need {m} distinct indices in every window")
+        # The j-th member of a class in a window (from 0) becomes the class's
+        # j-th row. Along the run of a class that starts at column f, the
+        # running maximum of (class start - column) is class start - f,
+        # since every earlier class ends before this one starts; adding the
+        # column back gives class start + (column - f).
+        columns = np.arange(m)
+        canonical = np.maximum.accumulate(class_start[ordered] - columns, axis=1) + columns
+        keys = np.sort(by_class[canonical], axis=1, kind="stable")
+        return list(map(tuple, keys.tolist()))
 
     def _key(self, indices: Iterable[int]) -> tuple[int, ...]:
         """Sorted class ids of the rows at indices; IndexError outside 1..n."""
@@ -180,6 +243,7 @@ class KernelEvaluator(dict):
         entry = self._learned.get(key)
         if entry is None:
             learn_obs = tuple(map(self._rows.__getitem__, learn_indices))
+            self.pair_fits += 1
             entry = _remember(
                 self._learned,
                 key,
@@ -226,22 +290,11 @@ class KernelEvaluator(dict):
             entry[2] = sum(rows) - sum(rows[i - 1] for i in learn_indices)
         return entry[2]
 
-    def product(self, indices: Sequence[int], overlap: int) -> float:
-        """Product of symmetrized values on the two standard windows.
+    def product(self, first: tuple[int, ...], second: tuple[int, ...] | None = None) -> float:
+        """phi0(first) * phi0(second) on the two windows of one draw.
 
-        indices is a tuple of length 2m - overlap; the windows are the first
-        m and the last m positions, sharing exactly `overlap` middle positions.
+        At full overlap both windows are the same: second is omitted and the
+        result is phi0(first) squared, from one request.
         """
-        m = self._m
-        if not 0 <= overlap <= m:
-            raise ValueError(f"overlap must lie in 0..{m}, got {overlap}")
-        if len(indices) != 2 * m - overlap:
-            raise ValueError(
-                f"expected {2 * m - overlap} indices for overlap {overlap}, got {len(indices)}"
-            )
-        if len(set(indices)) != len(indices):
-            raise ValueError(f"indices must be distinct, got {tuple(indices)}")
-        first = self.phi0(indices[:m])
-        if overlap == m:
-            return first * first
-        return first * self.phi0(indices[m - overlap :])
+        value = self.phi0(first)
+        return value * (value if second is None else self.phi0(second))

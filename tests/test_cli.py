@@ -97,6 +97,22 @@ class TestCompareHappyPath:
         assert report["outputs"]["ci_low"] <= report["outputs"]["delta_hat"]
         assert report["outputs"]["delta_hat"] <= report["outputs"]["ci_high"]
 
+    def test_provenance_counts_evaluations_and_fits(self, four_row_csv, capsys):
+        # No two of the four rows are equal, so the complete run evaluates
+        # each of the C(4, 2) pairs once and fits the learners on each row.
+        main(
+            [
+                "compare", "--data", four_row_csv, "--learner-a", "knn:1",
+                "--learner-b", "const:0", "--g", "1", "--complete",
+            ]
+        )
+        provenance = json.loads(capsys.readouterr().out)["provenance"]
+        assert list(provenance) == [
+            "version", "rng", "threads", "wall_time_s", "phi0_evaluations", "pair_fits"
+        ]
+        assert provenance["phi0_evaluations"] == 6
+        assert provenance["pair_fits"] == 4
+
     def test_tab_in_data_file_name_gives_valid_json(self, tmp_path, capsys):
         csv_path = write_csv(tmp_path / "tab\tname.csv", [0, 1, 1, 0, 1, 0, 0, 1])
         rc = main(

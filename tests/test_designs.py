@@ -159,7 +159,10 @@ class TestSampleOrderedSubset:
 
 class TestSampleOrderedSubsets:
     def test_shape_and_membership(self):
-        draws = sample_ordered_subsets(9, 4, 25, make_stream(3))
+        batch = sample_ordered_subsets(9, 4, 25, make_stream(3))
+        assert batch.shape == (25, 4)
+        assert batch.dtype == np.int32
+        draws = batch.tolist()
         assert len(draws) == 25
         for draw in draws:
             assert len(draw) == 4
@@ -167,10 +170,10 @@ class TestSampleOrderedSubsets:
             assert all(1 <= i <= 9 for i in draw)
 
     def test_full_permutation(self):
-        draws = sample_ordered_subsets(5, 5, 30, make_stream(1))
+        draws = sample_ordered_subsets(5, 5, 30, make_stream(1)).tolist()
         for draw in draws:
             assert sorted(draw) == [1, 2, 3, 4, 5]
-        assert len(set(draws)) > 1
+        assert len(set(map(tuple, draws))) > 1
 
     def test_single_draw_matches_scalar_sampler(self):
         # A batch of one consumes the stream exactly like the scalar
@@ -178,7 +181,7 @@ class TestSampleOrderedSubsets:
         for seed in range(10):
             batch = sample_ordered_subsets(10, 3, 1, make_stream(seed))
             single = sample_ordered_subset(10, 3, make_stream(seed))
-            assert batch == [single]
+            assert batch.tolist() == [list(single)]
 
     @pytest.mark.parametrize(
         "n, k, count",
@@ -196,18 +199,19 @@ class TestSampleOrderedSubsets:
     def test_batch_matches_reference_draw_for_draw(self, n, k, count):
         for seed in (0, 5):
             batch = sample_ordered_subsets(n, k, count, make_stream(seed))
-            assert batch == sample_ordered_subsets_reference(n, k, count, make_stream(seed))
-            assert all(type(draw) is tuple for draw in batch)
-            assert all(type(i) is int for draw in batch for i in draw)
+            assert batch.shape == (count, k)
+            assert batch.dtype == np.int32
+            reference = sample_ordered_subsets_reference(n, k, count, make_stream(seed))
+            assert batch.tolist() == [list(draw) for draw in reference]
 
     def test_deterministic_given_seed(self):
-        a = sample_ordered_subsets(12, 5, 40, make_stream(21))
-        b = sample_ordered_subsets(12, 5, 40, make_stream(21))
+        a = sample_ordered_subsets(12, 5, 40, make_stream(21)).tolist()
+        b = sample_ordered_subsets(12, 5, 40, make_stream(21)).tolist()
         assert a == b
-        assert len(set(a)) > 1
+        assert len(set(map(tuple, a))) > 1
 
     def test_uniform_frequencies(self):
-        counts = Counter(sample_ordered_subsets(4, 2, 60000, make_stream(123)))
+        counts = Counter(map(tuple, sample_ordered_subsets(4, 2, 60000, make_stream(123)).tolist()))
         assert len(counts) == 12
         expected = 60000 / 12
         sd = math.sqrt(60000 * (1 / 12) * (11 / 12))

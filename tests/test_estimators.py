@@ -13,6 +13,10 @@ from ucompare.designs import (
     sample_ordered_subsets,
 )
 from ucompare.estimators import (
+    _CHUNK_DRAWS,
+    _STREAM_DELTA,
+    _STREAM_KAPPA,
+    _STREAM_THETA2,
     COMPLETE,
     INCOMPLETE,
     EstimatorConfig,
@@ -23,7 +27,6 @@ from ucompare.estimators import (
     estimate_kappa_c,
     estimate_theta2,
     estimate_variance,
-    incomplete_u_statistic,
 )
 from ucompare.kernels import ComparisonKernel, KernelEvaluator
 from ucompare.learners import constant_learner, knn_learner, stump_learner
@@ -55,6 +58,14 @@ def few_atom_rows(n: int) -> Dataset:
     """n rows cycling through three (x, y) atoms, so most subsets repeat one."""
     xs, ys = [(0.0,), (1.0,), (2.0,)], [0, 1, 0]
     return Dataset.from_arrays([xs[i % 3] for i in range(n)], [ys[i % 3] for i in range(n)])
+
+
+def eight_atom_rows(n: int) -> Dataset:
+    """n rows cycling through eight (x, y) atoms, so most windows repeat one."""
+    atoms = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 2.0)]
+    atoms += [(2.0, 1.0), (2.0, 2.0), (0.0, 2.0), (2.0, 0.0)]
+    labels = [0, 1, 1, 0, 0, 1, 1, 0]
+    return Dataset.from_arrays([atoms[i % 8] for i in range(n)], [labels[i % 8] for i in range(n)])
 
 
 def gaussian_rows(n: int, seed: int = 3) -> Dataset:
@@ -121,35 +132,6 @@ class TestCompleteUStatistic:
             complete_u_statistic(lambda _s: 0.0, data.n, 0)
         with pytest.raises(ValueError):
             complete_u_statistic(lambda _s: 0.0, data.n, 5)
-
-
-class TestIncompleteUStatistic:
-    def test_single_draw_matches_kernel(self):
-        data = four_rows()
-        expected_draw = sample_ordered_subsets(4, 2, 1, make_stream(7, (9,)))[0]
-        seen = []
-
-        def kernel_eval(members):
-            seen.append(members)
-            return float(members[0])
-
-        value = incomplete_u_statistic(kernel_eval, data.n, 2, 1, make_stream(7, (9,)))
-        assert seen == [expected_draw]
-        assert value == float(expected_draw[0])
-
-    def test_same_stream_reproduces(self):
-        data = four_rows()
-        kernel_eval = lambda s: float(sum(s))
-        first = incomplete_u_statistic(kernel_eval, data.n, 2, 50, make_stream(3, (1,)))
-        second = incomplete_u_statistic(kernel_eval, data.n, 2, 50, make_stream(3, (1,)))
-        assert first == second
-
-    def test_rejects_bad_arguments(self):
-        data = four_rows()
-        with pytest.raises(ValueError, match="draws"):
-            incomplete_u_statistic(lambda _s: 0.0, data.n, 2, 0, make_stream(0))
-        with pytest.raises(ValueError):
-            incomplete_u_statistic(lambda _s: 0.0, data.n, 9, 1, make_stream(0))
 
 
 class TestEstimateDelta:
@@ -318,6 +300,10 @@ class TestSecondMomentEstimates:
         estimate_delta(ev, complete_config())
         estimate_variance(ev, complete_config())
         assert len(misses) == len(set(misses)) == math.comb(n, g + 1)
+        # Each subset is evaluated once, and each of its g-row learning
+        # parts fitted once.
+        assert ev.phi0_evaluations == math.comb(n, g + 1)
+        assert ev.pair_fits == math.comb(n, g)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("rows", ["distinct", "few atoms"])
@@ -373,6 +359,57 @@ class TestSecondMomentEstimates:
         for c in range(1, m + 1):
             assert estimate_kappa_c(ev, c, complete_config()) == reference(c)
         assert estimate_theta2(ev, complete_config()) == reference(0)
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_sampled_products_match_raw_window_requests(self, g):
+        # The reference requests phi0 on each draw's raw windows, as product
+        # did before the estimators sent keys; more draws than one key chunk.
+        n, m = 20, g + 1
+        data = eight_atom_rows(n)
+        kernel = ComparisonKernel(knn_learner(3), stump_learner(), g=g)
+        config = EstimatorConfig(draws=_CHUNK_DRAWS + 300, seed=4, mode=INCOMPLETE)
+        phi0 = KernelEvaluator(kernel, data).phi0
+
+        def reference(c, stream_key):
+            stream = make_stream(config.seed, stream_key)
+            draws = sample_ordered_subsets(n, 2 * m - c, config.draws, stream).tolist()
+            products = [phi0(tuple(t[:m])) * phi0(tuple(t[m - c :])) for t in draws]
+            return math.fsum(products) / config.draws
+
+        ev = KernelEvaluator(kernel, data)
+        for c in range(1, m + 1):
+            assert estimate_kappa_c(ev, c, config) == reference(c, (_STREAM_KAPPA, c))
+        assert estimate_theta2(ev, config) == reference(0, _STREAM_THETA2)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_sampled_run_evaluates_each_distinct_multiset_once(self, g):
+        # Brute force: the distinct value multisets among every requested
+        # window, and among every learning set the run fits on.
+        n, m = 20, g + 1
+        data = eight_atom_rows(n)
+        kernel = ComparisonKernel(knn_learner(3), stump_learner(), g=g)
+        config = EstimatorConfig(draws=400, seed=6, mode=INCOMPLETE)
+        ev = KernelEvaluator(kernel, data)
+        estimate_delta(ev, config)
+        estimate_variance(ev, config)
+
+        def draws(k, stream_key):
+            stream = make_stream(config.seed, stream_key)
+            return sample_ordered_subsets(n, k, config.draws, stream).tolist()
+
+        def multiset(rows):
+            return tuple(sorted((data.observation(i).x, data.observation(i).y) for i in rows))
+
+        windows = set()
+        statistics = [(c, (_STREAM_KAPPA, c)) for c in range(1, m + 1)] + [(0, _STREAM_THETA2)]
+        for c, stream_key in statistics:
+            for t in draws(2 * m - c, stream_key):
+                windows |= {multiset(t[:m]), multiset(t[m - c :])}
+        learning = {multiset(t) for t in draws(g, _STREAM_DELTA)}
+        learning |= {w[:i] + w[i + 1 :] for w in windows for i in range(m)}
+        assert 0 < ev.phi0_evaluations == len(windows) < 3 * config.draws
+        assert ev.pair_fits == len(learning)
 
     def test_disjoint_window_complete_value(self):
         # The three pairings of {1,2,3,4} into two disjoint pairs give

@@ -3,7 +3,10 @@ import itertools
 import math
 import weakref
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ucompare import kernels
 from ucompare.dataset import Dataset
@@ -144,37 +147,36 @@ class TestProductKernels:
         kernel = knn_vs_const(1)
         first = phi0_value(kernel, observations_at(data, (1, 2)))
         second = phi0_value(kernel, observations_at(data, (2, 3)))
-        assert KernelEvaluator(kernel, data).product((1, 2, 3), 1) == first * second
+        assert KernelEvaluator(kernel, data).product((1, 2), (2, 3)) == first * second
 
     def test_full_overlap_squares(self):
         data = four_rows()
         kernel = knn_vs_const(1)
         value = phi0_value(kernel, observations_at(data, (1, 2)))
-        assert KernelEvaluator(kernel, data).product((1, 2), 2) == value * value
+        assert KernelEvaluator(kernel, data).product((1, 2)) == value * value
 
     def test_disjoint_windows_multiply(self):
         data = four_rows()
         kernel = knn_vs_const(1)
         first = phi0_value(kernel, observations_at(data, (1, 2)))
         second = phi0_value(kernel, observations_at(data, (3, 4)))
-        assert KernelEvaluator(kernel, data).product((1, 2, 3, 4), 0) == first * second
-
-    def test_overlap_out_of_range_rejected(self):
-        ev = KernelEvaluator(knn_vs_const(1), four_rows())
-        with pytest.raises(ValueError, match="overlap must lie"):
-            ev.product((1,), 3)
-        with pytest.raises(ValueError, match="overlap must lie"):
-            ev.product((1, 2, 3, 4, 5), -1)
+        assert KernelEvaluator(kernel, data).product((1, 2), (3, 4)) == first * second
 
     def test_wrong_index_count_rejected(self):
         ev = KernelEvaluator(knn_vs_const(1), four_rows())
-        with pytest.raises(ValueError, match="expected"):
-            ev.product((1, 2, 3, 4), 1)
+        with pytest.raises(ValueError, match="need 2 distinct"):
+            ev.product((1, 2, 3), (3, 4))
+        with pytest.raises(ValueError, match="need 2 distinct"):
+            ev.product((1, 2), (3,))
 
     def test_repeated_indices_rejected(self):
         ev = KernelEvaluator(knn_vs_const(1), four_rows())
         with pytest.raises(ValueError, match="distinct"):
-            ev.product((1, 2, 1, 3), 0)
+            ev.product((1, 1), (2, 3))
+        with pytest.raises(ValueError, match="distinct"):
+            ev.product((1, 2), (3, 3))
+        with pytest.raises(ValueError, match="distinct"):
+            ev.product((2, 2))
 
 
 class TestKernelEvaluator:
@@ -254,12 +256,46 @@ class TestKernelEvaluator:
         with pytest.raises(ValueError, match="distinct"):
             ev.phi0((1, 1, 2))
         with pytest.raises(ValueError, match="distinct"):
-            ev.product((1, 1, 2, 4), 2)
+            ev.product((1, 1, 2), (1, 2, 4))
         with pytest.raises(ValueError, match="distinct"):
-            ev.product((1, 4, 2, 1, 4, 2), 0)
+            ev.product((1, 2, 4), (4, 2, 4))
+        with pytest.raises(ValueError, match="distinct"):
+            ev.phi0_keys(np.array([[1, 2, 4], [1, 1, 2]], dtype=np.int32))
         for bad in (0, -1, data.n + 1):
             with pytest.raises(IndexError):
                 ev.phi0((1, bad, 2))
+            with pytest.raises(IndexError):
+                ev.phi0_keys(np.array([[1, bad, 2]], dtype=np.int32))
+
+    def test_repeated_class_key_is_answered_by_the_lookup(self, monkeypatch):
+        # Rows 1, 4 and 6 carry observation A, rows 2 and 5 carry B. The key
+        # of {A, A, B} is (1, 2, 4): the first two rows of A and the first
+        # of B. It is a valid request and its own key, so once stored it is
+        # answered without entering __missing__, from any window of {A, A, B}.
+        data = Dataset.from_arrays(
+            [(0.0,), (1.0,), (2.0,), (0.0,), (1.0,), (0.0,)],
+            [0, 1, 1, 0, 1, 0],
+        )
+        kernel = knn_vs_const(2)
+        expected = phi0_value(kernel, observations_at(data, (1, 2, 4)))
+        misses = []
+        missing = KernelEvaluator.__missing__
+
+        def counted(evaluator, request):
+            misses.append(request)
+            return missing(evaluator, request)
+
+        monkeypatch.setattr(KernelEvaluator, "__missing__", counted)
+        ev = KernelEvaluator(kernel, data)
+        assert ev.phi0((6, 5, 4)) == expected
+        assert list(ev) == [(1, 2, 4)]
+        windows = np.array([[6, 5, 4], [4, 1, 2], [5, 1, 6], [2, 6, 4]], dtype=np.int32)
+        keys = ev.phi0_keys(windows)
+        assert keys == [(1, 2, 4)] * 4
+        assert [ev.phi0(key) for key in keys] == [expected] * 4
+        assert ev.product(keys[0], keys[1]) == ev.product(keys[2]) == expected * expected
+        assert misses == [(6, 5, 4)]
+        assert ev.phi0_evaluations == 1
 
     def test_request_probe_agrees_with_class_key(self):
         # Rows 4 and 5 repeat rows 1 and 2, so (1, 2, 6) is an ascending
@@ -391,6 +427,10 @@ class TestKernelEvaluator:
             ev.phi0((1, 1))
         with pytest.raises(ValueError, match="distinct"):
             ev.phi0((1, 2, 3))
+        with pytest.raises(ValueError, match="need windows of 2"):
+            ev.phi0_keys(np.array([[1, 2, 3]], dtype=np.int32))
+        with pytest.raises(ValueError, match="need windows of 2"):
+            ev.phi0_keys(np.array([1, 2], dtype=np.int32))
 
     def test_subset_size_must_fit_sample(self):
         with pytest.raises(ValueError, match="exceeds"):
@@ -399,6 +439,40 @@ class TestKernelEvaluator:
     def test_kernel_requires_positive_g(self):
         with pytest.raises(ValueError, match="g"):
             ComparisonKernel(knn_learner(1), constant_learner(0), g=0)
+
+
+def reference_key(data: Dataset, window) -> tuple[int, ...]:
+    """The phi0 key of window: sorted class ids, each repeat replaced by the class's next row."""
+    classes: dict[tuple, list[int]] = {}
+    for i, obs in enumerate(data.observations, start=1):
+        classes.setdefault((obs.x, obs.y), []).append(i)
+    rows_of = {i: rows for rows in classes.values() for i in rows}
+    ids = sorted(rows_of[i][0] for i in window)
+    return tuple(sorted(rows_of[k][ids[:j].count(k)] for j, k in enumerate(ids)))
+
+
+class TestPhi0Keys:
+    @settings(max_examples=150, deadline=None)
+    @given(draw=st.data())
+    def test_bulk_and_scalar_keys_match_the_reference(self, draw):
+        # Few atoms over many rows, so windows repeat atoms, up to m = 12.
+        m = draw.draw(st.integers(min_value=2, max_value=12), label="m")
+        n = draw.draw(st.integers(min_value=m, max_value=2 * m + 6), label="n")
+        atoms = draw.draw(st.integers(min_value=1, max_value=4), label="atoms")
+        row_atoms = draw.draw(st.lists(st.integers(0, atoms - 1), min_size=n, max_size=n))
+        windows = draw.draw(
+            st.lists(st.permutations(range(1, n + 1)).map(lambda p: p[:m]), min_size=1, max_size=6)
+        )
+        data = Dataset.from_arrays([(float(a),) for a in row_atoms], [a % 2 for a in row_atoms])
+        kernel = ComparisonKernel(constant_learner(0), constant_learner(1), g=m - 1)
+        ev = KernelEvaluator(kernel, data)
+        expected = [reference_key(data, w) for w in windows]
+        assert ev.phi0_keys(np.array(windows, dtype=np.int32)) == expected
+        # A key is its own key, and the scalar path stores exactly these keys.
+        assert ev.phi0_keys(np.array(expected, dtype=np.int32)) == expected
+        for window in windows:
+            ev.phi0(tuple(window))
+        assert sorted(ev) == sorted(set(expected))
 
 
 def eight_rows_of_five_atoms() -> Dataset:
@@ -471,7 +545,7 @@ class TestMemoBound:
             config = EstimatorConfig(draws=50, seed=1, mode=mode)
             estimate_delta(ev, config)
             estimate_variance(ev, config)
-        assert ev and ev._phi0s_repeated and ev._learned
+        assert ev and ev._learned and ev._key_tables is not None
         ref = weakref.ref(ev)
         enabled = gc.isenabled()
         gc.disable()
