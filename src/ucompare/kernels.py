@@ -4,8 +4,11 @@ phi trains both algorithms on g rows and scores the difference of their
 misclassifications on one held-out row, an integer in {-1, 0, 1}. phi0, the
 symmetrized kernel, averages phi over the g + 1 rotations of a size-(g+1)
 subset through the test position, so it ignores the order of the subset.
-product multiplies phi0 on the two windows of one draw, or squares it on one
-window; its means are the second-moment quantities behind the variance
+That sum is learner a's leave-one-out (LOO) error count on the subset minus
+learner b's, so when both learners have loo_errors, phi0 takes one call of
+each per subset and fits nothing; otherwise it fits and predicts through
+phi. product multiplies phi0 on the two windows of one draw, or squares it
+on one window; its means are the second-moment quantities behind the variance
 estimate. Equal row multisets share one memo entry, under a key that is
 itself a valid request. The evaluator is itself a dict, the phi0 memo, and
 phi0 is its lookup: a request equal to a key is answered in C, and any
@@ -28,14 +31,14 @@ if TYPE_CHECKING:
 
 # Entries a memo holds before it is emptied. Every reuse the benchmark
 # workloads and the tests show fits in under 2,000 keys (sampled-duplicates:
-# at most 1,716 phi0 keys and 787 learning multisets; complete-enum: 680 and
-# 136). Complete mode keys exactly the C(n, m) subsets when no two rows are
-# equal, and fewer otherwise. A complete run that finishes within about 5
-# minutes (n = 22, g = 4) needs at most C(22, 5) = 26,334 phi0 entries; the
-# cheapest complete run with more entries that passes the enumeration budget
-# (n = 20, g = 5) makes about 3 * 10^9 phi0 lookups, about 10 minutes at the
-# rate of the benchmark's complete-enum workload on a 2-core Xeon host (about
-# 5.0 million lookups per second).
+# at most 1,716 phi0 keys and 701 learning multisets; complete-enum: 680
+# phi0 keys). Complete mode stores at most the C(n, m) subsets: each key,
+# and each request that is not its own key. A complete run that finishes
+# within about 5 minutes (n = 22, g = 4) needs at most C(22, 5) = 26,334
+# phi0 entries; the cheapest complete run with more entries that passes the
+# enumeration budget (n = 20, g = 5) makes about 3 * 10^9 phi0 lookups,
+# about 10 minutes at the rate of the benchmark's complete-enum workload on
+# a 2-core Xeon host (about 5.0 million lookups per second).
 MEMO_SIZE = 2**15
 
 
@@ -92,23 +95,30 @@ class KernelEvaluator(dict):
     of a request is the sorted request. `_learned` maps a learning
     multiset's sorted class ids to the list [predictor a, predictor b,
     complement total], where the total stays None until
-    phi_complement_total computes it.
+    phi_complement_total computes it. A key's multiset is evaluated as the
+    difference of the two learners' loo_errors on its rows, divided by m,
+    when both learners have loo_errors (bound once, at construction), and
+    otherwise as the sum of phi over its m rotations, divided by m: the
+    same integer divided by m, so the same float.
 
     phi0 is the dict lookup itself, so a request equal to a stored key is
     answered in C. Every other request (a first request, an unordered
     tuple, a row that is not among its class's first rows) goes to
     __missing__, which checks it, builds its key and evaluates the key's
-    multiset unless the memo holds it. An invalid request such as (1, 1, 2)
-    is never a key, so the lookup cannot answer it. Requests are tuples; a
-    list is unhashable and raises TypeError. Complete mode requests exactly
-    the C(n, m) subsets, each as an ascending tuple; when no two rows are
-    equal, each is its own key and every repeat is answered in C. The
+    multiset unless the memo holds it; a valid request that is not its
+    own key is then stored under itself as well. An invalid request such
+    as (1, 1, 2) is never stored, so the lookup cannot answer it. Requests
+    are tuples; a list is unhashable and raises TypeError. Complete mode
+    requests exactly the C(n, m) subsets, each as an ascending tuple, so
+    each enters __missing__ once and every repeat is answered in C. The
     sampled estimators turn their windows into keys with phi0_keys, so
     there every repeated multiset is answered in C.
 
     Two plain int counters record the work done: phi0_evaluations counts
     the symmetrized values computed and pair_fits the fits of the learner
-    pair, one per multiset that its memo did not hold.
+    pair, one per learning multiset that `_learned` did not hold. Those are
+    the fits for phi_complement_total and, for learners without
+    loo_errors, for phi; the LOO path fits nothing.
 
     Each memo holds at most MEMO_SIZE entries and is emptied when an insert
     finds it full, so a run at any budget keeps bounded memory. Attributes
@@ -128,6 +138,7 @@ class KernelEvaluator(dict):
         "_rows",
         "_learned",
         "_key_tables",
+        "_loo",
         "__dict__",
         "__weakref__",
     )
@@ -155,6 +166,12 @@ class KernelEvaluator(dict):
         self._learned: dict[tuple, list] = {}
         # phi0_keys's numpy tables, built on its first call.
         self._key_tables = None
+        # Both learners' leave-one-out counts, or None when either lacks
+        # them. Bound methods of the learners, not of the evaluator, so the
+        # evaluator holds no reference back to itself.
+        loo_a = getattr(kernel.learner_a, "loo_errors", None)
+        loo_b = getattr(kernel.learner_b, "loo_errors", None)
+        self._loo = None if loo_a is None or loo_b is None else (loo_a, loo_b)
 
     # Symmetrized kernel over a subset (a tuple of m distinct row indices),
     # memoized by its key; see the class docstring and __missing__.
@@ -165,7 +182,9 @@ class KernelEvaluator(dict):
 
         Checks that the request names m distinct rows in 1..n (IndexError
         outside that range, ValueError otherwise), builds its key, and
-        evaluates phi on the key's rows unless the memo holds the key.
+        evaluates the key's multiset unless the memo holds the key. A valid
+        request that is not its own key is then stored too, so its repeats
+        are answered by the lookup.
         """
         m = self._m
         try:
@@ -182,9 +201,18 @@ class KernelEvaluator(dict):
             key = tuple(sorted([members[k][j - ids.index(k)] for j, k in enumerate(ids)]))
         result = self.get(key)
         if result is None:
-            values = [self.phi(key[:i] + key[i + 1 :], key[i]) for i in range(m)]
+            # The sum over the m rotations of phi is learner a's LOO error
+            # count minus learner b's: one integer, divided once by m.
+            if self._loo is None:
+                total = sum([self.phi(key[:i] + key[i + 1 :], key[i]) for i in range(m)])
+            else:
+                loo_a, loo_b = self._loo
+                rows = tuple(map(self._rows.__getitem__, key))
+                total = loo_a(rows) - loo_b(rows)
             self.phi0_evaluations += 1
-            result = _remember(self, key, sum(values) / m)
+            result = _remember(self, key, total / m)
+        if request != key:
+            _remember(self, request, result)
         return result
 
     def phi0_keys(self, windows: np.ndarray) -> list[tuple[int, ...]]:

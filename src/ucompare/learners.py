@@ -2,9 +2,19 @@
 
 Every learner here is a pure function of the multiset of learning
 observations: refitting the same multiset gives a predictor with identical
-outputs, and reordering the learning set changes nothing. That symmetry is
-what licenses averaging the comparison kernel over unordered subsets, so all
-tie-breaking below is explicit rather than incidental.
+outputs, and reordering the learning set changes nothing, down to which
+inputs overflow. That symmetry is what licenses averaging the comparison
+kernel over unordered subsets, so all tie-breaking below is explicit rather
+than incidental.
+
+Besides fit, every built-in learner has loo_errors(rows): the number of rows
+that the learner, fitted on the other rows, misclassifies. It computes the
+count in one pass over the multiset, without refitting, and equals what fit
+followed by predict gives on every input, including where they raise
+OverflowError. Rows with equal (x, y) have equal learning multisets once
+held out, so each distinct row is evaluated once. The kernels use it in
+place of m fits and predicts per size-m subset; a learner without it (the
+Learner base class has none) is fitted and queried instead.
 """
 
 from __future__ import annotations
@@ -12,7 +22,8 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_right
-from typing import Sequence
+from itertools import repeat
+from typing import Iterable, Sequence
 
 from .dataset import Observation
 
@@ -42,6 +53,39 @@ def _majority(ones: int, size: int) -> int:
     return 1 if 2 * ones > size else 0
 
 
+def _squared_distances(x: Sequence[float], points: Iterable[Sequence[float]]) -> list[float]:
+    """Squared Euclidean distance from x to each point, each summed left to right.
+
+    Each difference is squared as t * t, which is correctly rounded as
+    numpy's ** 2 on the batch path is (a float's t ** 2 goes through libm
+    pow), and the squares are added left to right, as the batch path adds
+    its columns. sum() would not do: from Python 3.12 it adds floats with
+    compensation. Since a - b == -(b - a) exactly, the distance from x to p
+    equals the distance from p to x.
+    """
+    d2 = []
+    for p in points:
+        s = 0.0
+        for t in map(operator.sub, x, p):
+            s = s + t * t
+        d2.append(s)
+    return d2
+
+
+def _learning_size(rows: Sequence[Observation]) -> int:
+    """Rows left to learn on once one of rows is held out; ValueError when none are."""
+    if len(rows) < 2:
+        raise ValueError("cannot fit on an empty learning set")
+    return len(rows) - 1
+
+
+def _without(items: list, item) -> list:
+    """A copy of items without its first occurrence of item; a sorted list stays sorted."""
+    rest = items.copy()
+    rest.remove(item)
+    return rest
+
+
 class Predictor:
     """Fitted model mapping a feature vector to a label in {0, 1}."""
 
@@ -54,7 +98,13 @@ class Predictor:
 
 
 class Learner:
-    """Factory for predictors; fit must be deterministic and symmetric."""
+    """Factory for predictors; fit must be deterministic and symmetric.
+
+    A subclass may add loo_errors(rows), the number of rows it misclassifies
+    when fitted on the other rows; the kernels then call it in place of
+    fitting and predicting, but only when both learners of a comparison have
+    it. It must equal the count that fit and predict give.
+    """
 
     def fit(self, learning_set: Sequence[Observation]) -> Predictor:
         raise NotImplementedError
@@ -79,6 +129,10 @@ class _ConstantLearner(Learner):
             raise ValueError("cannot fit on an empty learning set")
         return _ConstantPredictor(self.label)
 
+    def loo_errors(self, rows):
+        _learning_size(rows)
+        return sum(obs.y != self.label for obs in rows)
+
 
 def constant_learner(label: int) -> Learner:
     """Learner that ignores the data and always predicts the given label."""
@@ -101,17 +155,7 @@ class _KnnPredictor(Predictor):
     def predict(self, x):
         x = tuple(x)
         self._check_width(len(x))
-        # Each difference is squared as t * t, which is correctly rounded as
-        # numpy's ** 2 on the batch path is (a float's t ** 2 goes through
-        # libm pow), and the squares are added left to right, as the batch
-        # path adds its columns. sum() would not do: from Python 3.12 it adds
-        # floats with compensation.
-        d2 = []
-        for p in self.points:
-            s = 0.0
-            for t in map(operator.sub, x, p):
-                s = s + t * t
-            d2.append(s)
+        d2 = _squared_distances(x, self.points)
         _check_finite(max(d2))
         # Stable sort: equal distances resolve to the smaller canonical index.
         order = sorted(range(len(d2)), key=d2.__getitem__)
@@ -150,6 +194,52 @@ class _KnnLearner(Learner):
         points, labels = zip(*sorted([(obs.x, obs.y) for obs in learning_set]))
         return _KnnPredictor(points, labels, min(self.k, len(points)))
 
+    def loo_errors(self, rows):
+        k = min(self.k, _learning_size(rows))
+        # The distinct rows in canonical order, as fit sorts, with their
+        # counts; a held-out row leaves the others in that order.
+        points, labels, counts = [], [], []
+        previous = None
+        for row in sorted([(obs.x, obs.y) for obs in rows]):
+            if row == previous:
+                counts[-1] += 1
+            else:
+                previous = row
+                points.append(row[0])
+                labels.append(row[1])
+                counts.append(1)
+        # Each pair's squared distance once, as predict computes it:
+        # upper[i][j] is the distance between distinct rows i and i + 1 + j.
+        upper = [_squared_distances(x, points[i + 1 :]) for i, x in enumerate(points)]
+        # Each held-out row's predict measures its distance to every other
+        # row, so one inf among the pairs is an inf for some predict.
+        _check_finite(max(map(max, upper[:-1]), default=0.0))
+        # When k takes every other row, the vote does not depend on distance.
+        everyone = k == len(rows) - 1
+        total_ones = sum(map(operator.mul, labels, counts))
+        errors = 0
+        # Equal rows have the same learning multiset, so the same outcome.
+        for i, y in enumerate(labels):
+            if everyone:
+                ones = total_ones - y
+            else:
+                # predict's stable sort reads the other rows by distance,
+                # equal distances in canonical order, so the copies of a
+                # distinct row are adjacent; the held-out row's own other
+                # copies lie at 0.0 in its place.
+                d2 = [upper[j][i - j - 1] for j in range(i)] + [0.0] + upper[i]
+                needed, ones = k, 0
+                for j in sorted(range(len(d2)), key=d2.__getitem__):
+                    taken = counts[j] - (j == i)
+                    if taken >= needed:
+                        ones += labels[j] * needed
+                        break
+                    ones += labels[j] * taken
+                    needed -= taken
+            if _majority(ones, k) != y:
+                errors += counts[i]
+        return errors
+
 
 def knn_learner(k: int) -> Learner:
     """k-nearest-neighbour majority vote (Euclidean distance).
@@ -161,6 +251,18 @@ def knn_learner(k: int) -> Learner:
     ValueError for a query whose width differs from the learning set's.
     """
     return _KnnLearner(k)
+
+
+def _column_mean(values: list[float]) -> float:
+    """Mean of one feature over a class's rows, given in ascending order.
+
+    fsum is correctly rounded, so the mean does not depend on the order of
+    the values, but whether a partial sum overflows does: fsum([1e308,
+    1e308, -1e308]) raises OverflowError and fsum([1e308, -1e308, 1e308])
+    does not. Summing in ascending order makes that, too, a function of the
+    multiset of values.
+    """
+    return math.fsum(values) / len(values)
 
 
 # The labels of a centroid predictor's two points, shared by every fit.
@@ -176,12 +278,45 @@ class _CentroidLearner(Learner):
             by_label[obs.y].append(obs.x)
         if not by_label[0] or not by_label[1]:
             return _ConstantPredictor(0 if by_label[0] else 1)
-        # fsum per coordinate is exactly rounded, so the mean does not
-        # depend on the order of the rows.
         means = tuple(
-            tuple(math.fsum(col) / len(rows) for col in zip(*rows)) for rows in by_label.values()
+            tuple(_column_mean(sorted(col)) for col in zip(*rows)) for rows in by_label.values()
         )
         return _KnnPredictor(means, _CENTROID_LABELS, 1)
+
+    def loo_errors(self, rows):
+        _learning_size(rows)
+        by_label: dict[int, list[tuple]] = {0: [], 1: []}
+        for obs in rows:
+            by_label[obs.y].append(obs.x)
+        if not by_label[0] or not by_label[1]:
+            # Every fit sees one class and predicts it, which is right.
+            return 0
+        columns = {label: [sorted(col) for col in zip(*xs)] for label, xs in by_label.items()}
+        # A class's whole mean, computed only once a fit needs it: a sum that
+        # overflows must raise only where some fit sums the same values.
+        whole: dict[int, tuple] = {}
+        errors = 0
+        previous = None
+        for row in sorted([(obs.x, obs.y) for obs in rows]):
+            # An equal row has the same learning multiset, so the same outcome.
+            if row != previous:
+                previous = x, y = row
+                if len(by_label[y]) == 1:
+                    # The fit sees only the other class and predicts it.
+                    wrong = True
+                else:
+                    other = 1 - y
+                    if other not in whole:
+                        whole[other] = tuple(map(_column_mean, columns[other]))
+                    own = tuple(map(_column_mean, map(_without, columns[y], x)))
+                    means = (own, whole[1]) if y == 0 else (whole[0], own)
+                    # predict of the fitted 1-NN rule over (mean 0, mean 1):
+                    # the nearer mean's label, an exact tie going to 0.
+                    d0, d1 = _squared_distances(x, means)
+                    _check_finite(max(d0, d1))
+                    wrong = (1 if d1 < d0 else 0) != y
+            errors += wrong
+        return errors
 
 
 def centroid_learner() -> Learner:
@@ -206,62 +341,90 @@ class _StumpPredictor(Predictor):
         return self.label_le if x[self.feature] <= self.threshold else self.label_gt
 
 
+def _best_stump(
+    columns: Iterable[list[tuple[float, int]]], size: int, total_ones: int
+) -> Predictor:
+    """The stump fitted on size rows, total_ones of them labelled 1.
+
+    columns yields, feature by feature, the rows' (value, label) pairs in
+    ascending order; a column is not read once a zero-error split is found.
+    """
+    # Candidates arrive in nondecreasing (feature, threshold) order, since
+    # midpoints of increasing pairs never decrease. Keeping the first one
+    # with the fewest errors is therefore the (errors, feature, threshold)
+    # order; an equal (feature, threshold) makes the same split. No later
+    # candidate beats zero errors, so the scan stops at the first.
+    best = None  # (feature, threshold, rows left, ones left)
+    best_errors = size + 1
+    for j, pairs in enumerate(columns):
+        lo = pairs[0][0]
+        ones = 0  # label-1 rows before the current one
+        for k, (hi, y) in enumerate(pairs):
+            if lo != hi:
+                threshold = (lo + hi) / 2.0
+                if lo <= threshold < hi:
+                    n_le, ones_le = k, ones
+                else:
+                    # The midpoint rounded up to hi or overflowed to
+                    # +-inf; the split is still the rows x <= threshold,
+                    # the pairs that sort before (threshold, 1) or equal it.
+                    n_le = bisect_right(pairs, (threshold, 1))
+                    ones_le = sum(label for _, label in pairs[:n_le])
+                zeros_le = n_le - ones_le
+                ones_gt = total_ones - ones_le
+                zeros_gt = size - n_le - ones_gt
+                # Each side predicts its majority, so it misclassifies
+                # its minority (conditionals, as min() costs a call).
+                errors = (ones_le if ones_le < zeros_le else zeros_le) + (
+                    ones_gt if ones_gt < zeros_gt else zeros_gt
+                )
+                if errors < best_errors:
+                    best_errors = errors
+                    best = (j, threshold, n_le, ones_le)
+                    if not errors:
+                        break
+            lo = hi
+            ones += y
+        if not best_errors:
+            break
+    if best is None:
+        # Every feature is constant on the learning set; no split exists.
+        return _ConstantPredictor(_majority(total_ones, size))
+    j, threshold, n_le, ones_le = best
+    return _StumpPredictor(
+        j,
+        threshold,
+        _majority(ones_le, n_le),
+        _majority(total_ones - ones_le, size - n_le),
+    )
+
+
 class _StumpLearner(Learner):
     def fit(self, learning_set):
         if not learning_set:
             raise ValueError("cannot fit on an empty learning set")
-        size = len(learning_set)
         labels = [obs.y for obs in learning_set]
-        total_ones = sum(labels)
-        # Candidates arrive in nondecreasing (feature, threshold) order, since
-        # midpoints of increasing pairs never decrease. Keeping the first one
-        # with the fewest errors is therefore the (errors, feature, threshold)
-        # order; an equal (feature, threshold) makes the same split. No later
-        # candidate beats zero errors, so the scan stops at the first.
-        best = None  # (feature, threshold, rows left, ones left)
-        best_errors = size + 1
-        for j, column in enumerate(zip(*[obs.x for obs in learning_set])):
-            pairs = sorted(zip(column, labels))
-            lo = pairs[0][0]
-            ones = 0  # label-1 rows before the current one
-            for k, (hi, y) in enumerate(pairs):
-                if lo != hi:
-                    threshold = (lo + hi) / 2.0
-                    if lo <= threshold < hi:
-                        n_le, ones_le = k, ones
-                    else:
-                        # The midpoint rounded up to hi or overflowed to
-                        # +-inf; the split is still the rows x <= threshold,
-                        # the pairs that sort before (threshold, 1) or equal it.
-                        n_le = bisect_right(pairs, (threshold, 1))
-                        ones_le = sum(label for _, label in pairs[:n_le])
-                    zeros_le = n_le - ones_le
-                    ones_gt = total_ones - ones_le
-                    zeros_gt = size - n_le - ones_gt
-                    # Each side predicts its majority, so it misclassifies
-                    # its minority (conditionals, as min() costs a call).
-                    errors = (ones_le if ones_le < zeros_le else zeros_le) + (
-                        ones_gt if ones_gt < zeros_gt else zeros_gt
-                    )
-                    if errors < best_errors:
-                        best_errors = errors
-                        best = (j, threshold, n_le, ones_le)
-                        if not errors:
-                            break
-                lo = hi
-                ones += y
-            if not best_errors:
-                break
-        if best is None:
-            # Every feature is constant on the learning set; no split exists.
-            return _ConstantPredictor(_majority(total_ones, size))
-        j, threshold, n_le, ones_le = best
-        return _StumpPredictor(
-            j,
-            threshold,
-            _majority(ones_le, n_le),
-            _majority(total_ones - ones_le, size - n_le),
+        columns = zip(*[obs.x for obs in learning_set])
+        return _best_stump(
+            (sorted(zip(column, labels)) for column in columns), len(labels), sum(labels)
         )
+
+    def loo_errors(self, rows):
+        size = _learning_size(rows)
+        labels = [obs.y for obs in rows]
+        total_ones = sum(labels)
+        # Each feature's pairs sorted once; a held-out row drops its own.
+        columns = [sorted(zip(column, labels)) for column in zip(*[obs.x for obs in rows])]
+        errors = 0
+        previous = None
+        for row in sorted([(obs.x, obs.y) for obs in rows]):
+            # An equal row has the same learning multiset, so the same outcome.
+            if row != previous:
+                previous = x, y = row
+                held_out = map(_without, columns, zip(x, repeat(y)))
+                wrong = _best_stump(held_out, size, total_ones - y).predict(x) != y
+            errors += wrong
+        return errors
 
 
 def stump_learner() -> Learner:

@@ -3,7 +3,8 @@
 The K-fold design and the tail bound behind --digits are reference objects
 for the acceptance criteria; sample_dataset draws replicate datasets from an
 oracle distribution; squared_point_variance is a deliberately biased
-variance estimator that the self-checks must catch.
+variance estimator that the self-checks must catch. Refitting hides a
+built-in learner's loo_errors, so the kernels fit and predict it instead.
 """
 
 from __future__ import annotations
@@ -88,3 +89,13 @@ def squared_point_variance(ev: KernelEvaluator, config: EstimatorConfig) -> Vari
     return dataclasses.replace(
         ve, v_hat=_combine(ve.weights, ve.kappa_hats, estimate_delta(ev, config) ** 2)
     )
+
+
+class Refitting:
+    """A learner's fit alone, without loo_errors: the kernels fit and predict it."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def fit(self, learning_set):
+        return self.inner.fit(learning_set)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import re
 import time
@@ -99,7 +100,8 @@ class TestCompareHappyPath:
 
     def test_provenance_counts_evaluations_and_fits(self, four_row_csv, capsys):
         # No two of the four rows are equal, so the complete run evaluates
-        # each of the C(4, 2) pairs once and fits the learners on each row.
+        # each of the C(4, 2) pairs once. Both learners count LOO errors,
+        # so nothing is fitted.
         main(
             [
                 "compare", "--data", four_row_csv, "--learner-a", "knn:1",
@@ -111,7 +113,53 @@ class TestCompareHappyPath:
             "version", "rng", "threads", "wall_time_s", "phi0_evaluations", "pair_fits"
         ]
         assert provenance["phi0_evaluations"] == 6
-        assert provenance["pair_fits"] == 4
+        assert provenance["pair_fits"] == 0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_complete_run_on_repeated_rows_misses_once_per_request(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # 17 rows of 8 (x, y) atoms. A subset holding a later row of some
+        # atom is not its own key; it enters __missing__ once, is stored
+        # under itself, and every repeat is answered by the lookup.
+        atoms = [(float(a // 2), a % 2) for a in range(8)]
+        rows = [atoms[i * 3 % 8] for i in range(17)]
+        csv_path = write_csv(tmp_path / "atoms.csv", [y for _, y in rows], [x for x, _ in rows])
+        argv = [
+            "compare", "--data", csv_path, "--learner-a", "knn:3",
+            "--learner-b", "stump", "--g", "2", "--complete",
+        ]
+        misses = []
+        missing = cli.KernelEvaluator.__missing__
+
+        def counted(evaluator, request):
+            misses.append(request)
+            return missing(evaluator, request)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cli.KernelEvaluator, "__missing__", counted)
+            rc = main(argv)
+        report = json.loads(capsys.readouterr().out)
+        assert len(misses) == len(set(misses)) == 680  # C(17, 3)
+        multisets = {
+            tuple(sorted(rows[i] for i in subset))
+            for subset in itertools.combinations(range(17), 3)
+        }
+        assert report["provenance"]["phi0_evaluations"] == len(multisets) < 680
+
+        # The same report from the scalar reference, which evaluates each
+        # distinct request afresh and shares nothing between requests.
+        values = {}
+
+        def reference_phi0(evaluator, request):
+            if request not in values:
+                subset = [evaluator.data.observation(i) for i in request]
+                values[request] = oracle.phi0_value(evaluator.kernel, subset)
+            return values[request]
+
+        monkeypatch.setattr(cli.KernelEvaluator, "phi0", reference_phi0)
+        assert main(argv) == rc
+        assert json.loads(capsys.readouterr().out)["outputs"] == report["outputs"]
 
     def test_tab_in_data_file_name_gives_valid_json(self, tmp_path, capsys):
         csv_path = write_csv(tmp_path / "tab\tname.csv", [0, 1, 1, 0, 1, 0, 0, 1])

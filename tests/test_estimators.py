@@ -31,6 +31,8 @@ from ucompare.estimators import (
 from ucompare.kernels import ComparisonKernel, KernelEvaluator
 from ucompare.learners import constant_learner, knn_learner, stump_learner
 
+from support import Refitting
+
 
 def four_rows() -> Dataset:
     return Dataset.from_arrays(
@@ -296,14 +298,18 @@ class TestSecondMomentEstimates:
             return missing(evaluator, request)
 
         monkeypatch.setattr(KernelEvaluator, "__missing__", counted)
-        ev = knn_vs_const_on(alternating_rows(n), g)
-        estimate_delta(ev, complete_config())
-        estimate_variance(ev, complete_config())
-        assert len(misses) == len(set(misses)) == math.comb(n, g + 1)
-        # Each subset is evaluated once, and each of its g-row learning
-        # parts fitted once.
-        assert ev.phi0_evaluations == math.comb(n, g + 1)
-        assert ev.pair_fits == math.comb(n, g)
+        # Each subset is evaluated once. The built-in learners count their
+        # LOO errors and fit nothing; learners without loo_errors are fitted
+        # once on each g-row learning part.
+        refitting = ComparisonKernel(Refitting(knn_learner(1)), constant_learner(0), g=g)
+        for kernel, fits in [(knn_vs_const(g), 0), (refitting, math.comb(n, g))]:
+            misses.clear()
+            ev = KernelEvaluator(kernel, alternating_rows(n))
+            estimate_delta(ev, complete_config())
+            estimate_variance(ev, complete_config())
+            assert len(misses) == len(set(misses)) == math.comb(n, g + 1)
+            assert ev.phi0_evaluations == math.comb(n, g + 1)
+            assert ev.pair_fits == fits
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("rows", ["distinct", "few atoms"])
@@ -388,11 +394,7 @@ class TestSecondMomentEstimates:
         # window, and among every learning set the run fits on.
         n, m = 20, g + 1
         data = eight_atom_rows(n)
-        kernel = ComparisonKernel(knn_learner(3), stump_learner(), g=g)
         config = EstimatorConfig(draws=400, seed=6, mode=INCOMPLETE)
-        ev = KernelEvaluator(kernel, data)
-        estimate_delta(ev, config)
-        estimate_variance(ev, config)
 
         def draws(k, stream_key):
             stream = make_stream(config.seed, stream_key)
@@ -406,10 +408,20 @@ class TestSecondMomentEstimates:
         for c, stream_key in statistics:
             for t in draws(2 * m - c, stream_key):
                 windows |= {multiset(t[:m]), multiset(t[m - c :])}
-        learning = {multiset(t) for t in draws(g, _STREAM_DELTA)}
-        learning |= {w[:i] + w[i + 1 :] for w in windows for i in range(m)}
-        assert 0 < ev.phi0_evaluations == len(windows) < 3 * config.draws
-        assert ev.pair_fits == len(learning)
+        delta_learning = {multiset(t) for t in draws(g, _STREAM_DELTA)}
+        window_learning = {w[:i] + w[i + 1 :] for w in windows for i in range(m)}
+        # The built-in learners fit only delta's learning sets; learners
+        # without loo_errors also fit each window's learning parts.
+        refitting = (Refitting(knn_learner(3)), Refitting(stump_learner()))
+        for learners, learning in [
+            ((knn_learner(3), stump_learner()), delta_learning),
+            (refitting, delta_learning | window_learning),
+        ]:
+            ev = KernelEvaluator(ComparisonKernel(*learners, g=g), data)
+            estimate_delta(ev, config)
+            estimate_variance(ev, config)
+            assert 0 < ev.phi0_evaluations == len(windows) < 3 * config.draws
+            assert ev.pair_fits == len(learning)
 
     def test_disjoint_window_complete_value(self):
         # The three pairings of {1,2,3,4} into two disjoint pairs give

@@ -28,6 +28,8 @@ from ucompare.learners import (
 )
 from ucompare.oracle import phi0_value, phi_value
 
+from support import Refitting
+
 
 class BatchCountingLearner(Learner):
     """Wraps a learner and logs (name, learning features) per predict_batch."""
@@ -253,8 +255,12 @@ class TestKernelEvaluator:
         )
         ev = KernelEvaluator(knn_vs_const(2), data)
         ev.phi0((1, 4, 2))
+        # (1, 4, 2) is not its own key, so it is stored under itself too.
+        assert list(ev) == [(1, 2, 4), (1, 4, 2)]
         with pytest.raises(ValueError, match="distinct"):
             ev.phi0((1, 1, 2))
+        with pytest.raises(ValueError, match="distinct"):
+            ev.phi0((4, 4, 2))
         with pytest.raises(ValueError, match="distinct"):
             ev.product((1, 1, 2), (1, 2, 4))
         with pytest.raises(ValueError, match="distinct"):
@@ -288,7 +294,9 @@ class TestKernelEvaluator:
         monkeypatch.setattr(KernelEvaluator, "__missing__", counted)
         ev = KernelEvaluator(kernel, data)
         assert ev.phi0((6, 5, 4)) == expected
-        assert list(ev) == [(1, 2, 4)]
+        # The key, then the request, which is not its own key.
+        assert list(ev) == [(1, 2, 4), (6, 5, 4)]
+        assert ev.phi0((6, 5, 4)) == expected
         windows = np.array([[6, 5, 4], [4, 1, 2], [5, 1, 6], [2, 6, 4]], dtype=np.int32)
         keys = ev.phi0_keys(windows)
         assert keys == [(1, 2, 4)] * 4
@@ -468,11 +476,14 @@ class TestPhi0Keys:
         ev = KernelEvaluator(kernel, data)
         expected = [reference_key(data, w) for w in windows]
         assert ev.phi0_keys(np.array(windows, dtype=np.int32)) == expected
-        # A key is its own key, and the scalar path stores exactly these keys.
+        # A key is its own key, and the scalar path evaluates exactly these
+        # keys; it also stores each window under itself, so a repeat is
+        # answered by the lookup.
         assert ev.phi0_keys(np.array(expected, dtype=np.int32)) == expected
         for window in windows:
             ev.phi0(tuple(window))
-        assert sorted(ev) == sorted(set(expected))
+        assert ev.phi0_evaluations == len(set(expected))
+        assert set(ev) == set(expected) | set(map(tuple, windows))
 
 
 def eight_rows_of_five_atoms() -> Dataset:
@@ -555,3 +566,38 @@ class TestMemoBound:
         finally:
             if enabled:
                 gc.enable()
+
+
+def nine_gaussian_rows() -> Dataset:
+    rng = np.random.default_rng(8)
+    xs = rng.normal(size=(9, 2))
+    return Dataset.from_arrays([tuple(map(float, x)) for x in xs], [int(x[0] > 0) for x in xs])
+
+
+LEARNER_PAIRS = {
+    "knn3-stump": (knn_learner(3), stump_learner()),
+    "knn1-centroid": (knn_learner(1), centroid_learner()),
+    "centroid-const0": (centroid_learner(), constant_learner(0)),
+    "stump-knn3": (stump_learner(), knn_learner(3)),
+}
+
+
+class TestLeaveOneOutPath:
+    """Built-in learners count LOO errors; the same learners refitted agree."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("pair", sorted(LEARNER_PAIRS))
+    @pytest.mark.parametrize("rows", ["repeats", "distinct"])
+    def test_phi0_equals_refitting(self, pair, rows):
+        data = eight_rows_of_five_atoms() if rows == "repeats" else nine_gaussian_rows()
+        loo_kernel = ComparisonKernel(*LEARNER_PAIRS[pair], g=2)
+        refit_kernel = ComparisonKernel(*map(Refitting, LEARNER_PAIRS[pair]), g=2)
+        loo, refit = KernelEvaluator(loo_kernel, data), KernelEvaluator(refit_kernel, data)
+        subsets = list(itertools.combinations(range(1, data.n + 1), 3))
+        assert [loo.phi0(s) for s in subsets] == [refit.phi0(s) for s in subsets]
+        assert loo.pair_fits == 0 < refit.pair_fits
+        # Sampled windows, requested as keys through phi0_keys, on fresh memos.
+        loo, refit = KernelEvaluator(loo_kernel, data), KernelEvaluator(refit_kernel, data)
+        config = EstimatorConfig(draws=300, seed=5, mode=INCOMPLETE)
+        assert estimate_variance(loo, config) == estimate_variance(refit, config)
+        assert loo.pair_fits == 0 < refit.pair_fits

@@ -480,6 +480,108 @@ def test_permutation_symmetry_property(learner, data, seed, probe):
     assert learner.fit(learning).predict((probe,)) == learner.fit(shuffled).predict((probe,))
 
 
+def refit_errors(learner, rows):
+    """Rows misclassified by the learner fitted on the other rows, by m fits."""
+    return sum(
+        learner.fit(rows[:i] + rows[i + 1 :]).predict(row.x) != row.y
+        for i, row in enumerate(rows)
+    )
+
+
+def outcome(count):
+    """count(), or OverflowError when it raises that."""
+    try:
+        return count()
+    except OverflowError:
+        return OverflowError
+
+
+# Feature values: small integers tie distances exactly and repeat rows; 1,
+# 1 + 1ulp and 1 + 2ulp give a stump midpoint that rounds up to hi; the
+# large values overflow a midpoint, a centroid sum or a squared distance.
+LOO_VALUES = st.one_of(
+    st.integers(-2, 2).map(float),
+    st.sampled_from([ONE, ONE_UP, ONE_UP2]),
+    st.sampled_from([-HUGE, -1.6e308, -1e308, 1e308, 1.6e308, HUGE, 1.2e154]),
+    st.floats(-10, 10, allow_nan=False),
+)
+
+
+@st.composite
+def loo_rows(draw):
+    """2 to 9 rows, some of which repeat a feature vector.
+
+    Each row gets its own label, so one x often carries both labels;
+    sometimes every label is the same, or one feature is constant.
+    """
+    d = draw(st.integers(1, 3), label="d")
+    m = draw(st.integers(2, 9), label="m")
+    distinct = draw(st.integers(1, m), label="distinct")
+    xs = draw(st.lists(st.tuples(*[LOO_VALUES] * d), min_size=distinct, max_size=distinct))
+    repeats = st.lists(st.sampled_from(xs), min_size=m - distinct, max_size=m - distinct)
+    picks = draw(st.permutations(xs + draw(repeats)), label="picks")
+    single = draw(st.sampled_from([None, None, None, 0, 1]), label="single class")
+    labels = [
+        single if single is not None else draw(st.integers(0, 1), label="y") for _ in picks
+    ]
+    if draw(st.booleans(), label="constant feature 0"):
+        picks = [(picks[0][0], *x[1:]) for x in picks]
+    return [Observation(x, y) for x, y in zip(picks, labels)]
+
+
+LOO_CASES = [
+    # The whole label-0 class sums to inf, but no fit sums it: the label-1
+    # row is alone, so its held-out fit is a constant rule.
+    obs((1e308, 0), (1e308, 0), (1e308, 1)),
+    # Equal rows, and one x with both labels.
+    obs((0.0, 0), (0.0, 0), (1.0, 1), (1.0, 0), (2.0, 1), (2.0, 1)),
+    # Exact distance ties at 1 and 2 from every row.
+    obs(((0.0, 0.0), 0), ((1.0, 0.0), 1), ((0.0, 1.0), 1), ((1.0, 1.0), 0), ((2.0, 0.0), 1)),
+    # A midpoint that rounds up to hi, and every feature constant.
+    obs((ONE, 1), (ONE_UP, 0), (ONE_UP2, 1), (ONE_UP2, 1)),
+    obs(((1.0, 2.0), 1), ((1.0, 2.0), 0), ((1.0, 2.0), 0)),
+    # Single-class rows, and differences whose squares overflow.
+    obs((0.0, 1), (3.0, 1), (1.0, 1)),
+    obs((-1.7e308, 0), (1.7e308, 1), (0.0, 1), (1.0, 0)),
+]
+
+
+@pytest.mark.parametrize("learner", ALL_LEARNERS)
+class TestLeaveOneOutErrors:
+    """loo_errors(rows) is the count that m fits and predicts give."""
+
+    @pytest.mark.parametrize("rows", LOO_CASES)
+    def test_explicit_cases(self, learner, rows):
+        assert outcome(lambda: learner.loo_errors(rows)) == outcome(
+            lambda: refit_errors(learner, rows)
+        )
+        # The order of the rows changes nothing.
+        assert outcome(lambda: learner.loo_errors(rows[::-1])) == outcome(
+            lambda: refit_errors(learner, rows)
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=loo_rows())
+    def test_equals_refitting(self, learner, rows):
+        assert outcome(lambda: learner.loo_errors(rows)) == outcome(
+            lambda: refit_errors(learner, rows)
+        )
+
+    def test_needs_two_rows(self, learner):
+        with pytest.raises(ValueError, match="empty"):
+            learner.loo_errors(obs((0.0, 1)))
+
+
+def test_centroid_overflow_does_not_depend_on_row_order():
+    # fsum([1e308, 1e308, -1e308]) overflows and fsum([1e308, -1e308, 1e308])
+    # does not; the fit sums each column in ascending order, so the order of
+    # the learning rows cannot decide whether it raises.
+    learning = obs((1e308, 0), (1e308, 0), (-1e308, 0), (0.0, 1))
+    means = ((1e308 / 3,), (0.0,))
+    for perm in itertools.permutations(learning):
+        assert centroid_learner().fit(list(perm)).points == means
+
+
 def test_parse_learner_identifiers():
     assert parse_learner("knn:3").k == 3
     assert parse_learner("const:1").label == 1
