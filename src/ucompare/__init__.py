@@ -40,4 +40,3 @@ from .learners import (
     parse_learner,
     stump_learner,
 )
-from .oracle import DiscreteDistribution, true_delta, true_kappa_c, true_theta2

@@ -27,7 +27,6 @@ from .estimators import (
 from .inference import ALPHA_FLOOR, PLUGIN_ASYMPTOTIC, UNBIASED, test_error_difference
 from .kernels import ComparisonKernel, KernelEvaluator
 from .learners import parse_learner
-from .oracle import CHECK_TOLERANCE, builtin_scenarios, run_checks
 from .report import ComparisonReport
 
 EXIT_OK = 0
@@ -264,6 +263,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle_check(args: argparse.Namespace) -> int:
+    # Imported here, so that compare does not compile the exhaustive oracle.
+    from .oracle import CHECK_TOLERANCE, builtin_scenarios, run_checks
+
     if args.list:
         for scenario in builtin_scenarios():
             print(f"{scenario.name}: {scenario.description} (n={scenario.n})")

@@ -14,13 +14,17 @@ itself a valid request. The evaluator is itself a dict, the phi0 memo, and
 phi0 is its lookup: a request equal to a key is answered in C, and any
 other request runs Python. phi0_keys turns arrays of windows into keys in
 bulk, so the sampled estimators request keys and a repeated multiset costs
-one lookup. The scalar references on observations, which the evaluator is
-checked against, live in ucompare.oracle.
+one lookup. When both learners have loo_errors_batch, phi0_keys also
+pre-fills the memo: it evaluates the chunk's distinct new keys in numpy
+batches, so the requests that follow are answered in C. The scalar
+references on observations, which the evaluator is checked against, live
+in ucompare.oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import filterfalse
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .dataset import Dataset
@@ -40,6 +44,21 @@ if TYPE_CHECKING:
 # about 10 minutes at the rate of the benchmark's complete-enum workload on
 # a 2-core Xeon host (about 5.0 million lookups per second).
 MEMO_SIZE = 2**15
+
+# phi0_keys leaves a chunk's new keys to __missing__, one loo_errors call
+# per learner and key, when there are fewer than this. On the benchmark's
+# sampled-duplicates data (m = 6, d = 3, 2-core Xeon host), where most
+# phi0_keys calls miss 0-7 keys, the batch calls of both learners take
+# about 0.2 ms plus 15-40 us per key and the per-key path about 70 us per
+# key, so the two meet at about 4 keys.
+_MIN_BATCH = 4
+
+# Keys per loo_errors_batch call are capped so that keys * m * m * d, the
+# size of the largest array a built-in learner's batch builds, stays under
+# this: about 300 keys at m = 6, d = 3. It bounds the memory a call takes,
+# and calls of 1,024 keys there took 30-40% longer per key than calls of
+# 300.
+_BATCH_ELEMENTS = 2**15
 
 
 class SampleTooSmallError(ValueError):
@@ -99,7 +118,9 @@ class KernelEvaluator(dict):
     difference of the two learners' loo_errors on its rows, divided by m,
     when both learners have loo_errors (bound once, at construction), and
     otherwise as the sum of phi over its m rotations, divided by m: the
-    same integer divided by m, so the same float.
+    same integer divided by m, so the same float. When both learners also
+    have loo_errors_batch, phi0_keys evaluates the new keys of each call in
+    batches before returning them (see _prefill).
 
     phi0 is the dict lookup itself, so a request equal to a stored key is
     answered in C. Every other request (a first request, an unordered
@@ -139,6 +160,7 @@ class KernelEvaluator(dict):
         "_learned",
         "_key_tables",
         "_loo",
+        "_batch",
         "__dict__",
         "__weakref__",
     )
@@ -172,6 +194,9 @@ class KernelEvaluator(dict):
         loo_a = getattr(kernel.learner_a, "loo_errors", None)
         loo_b = getattr(kernel.learner_b, "loo_errors", None)
         self._loo = None if loo_a is None or loo_b is None else (loo_a, loo_b)
+        batch_a = getattr(kernel.learner_a, "loo_errors_batch", None)
+        batch_b = getattr(kernel.learner_b, "loo_errors_batch", None)
+        self._batch = None if batch_a is None or batch_b is None else (batch_a, batch_b)
 
     # Symmetrized kernel over a subset (a tuple of m distinct row indices),
     # memoized by its key; see the class docstring and __missing__.
@@ -221,7 +246,9 @@ class KernelEvaluator(dict):
         Each key equals the one __missing__ builds for that row as a request,
         after the same checks: IndexError for an index outside 1..n and
         ValueError for a window that repeats an index. The first call imports
-        numpy and builds the lookup tables.
+        numpy and builds the lookup tables. When both learners have
+        loo_errors_batch, the keys the memo lacks are evaluated before the
+        keys are returned.
         """
         import numpy as np
 
@@ -232,15 +259,20 @@ class KernelEvaluator(dict):
             raise IndexError(f"window index outside 1..{n}")
         if self._key_tables is None:
             # by_class lists every class's rows in index order, class after
-            # class; place[i] is where row i sits in it, and class_start[p]
-            # where the class of the row at p starts.
-            members = self._members
-            by_class = np.array([i for rows in members.values() for i in rows])
+            # class, the classes in canonical (x, y) order; place[i] is where
+            # row i sits in it, and class_start[p] where the class of the
+            # row at p starts. x and y hold the rows in by_class's order,
+            # for loo_errors_batch.
+            members, rows = self._members, self._rows
+            ids = sorted(members, key=lambda k: (rows[k].x, rows[k].y))
+            by_class = np.array([i for k in ids for i in members[k]])
             place = np.empty(n + 1, dtype=np.int64)
             place[by_class] = np.arange(n)
-            class_start = place[[k for k, rows in members.items() for _ in rows]]
-            self._key_tables = by_class, place, class_start
-        by_class, place, class_start = self._key_tables
+            class_start = place[[k for k in ids for _ in members[k]]]
+            x = np.array([rows[i].x for i in by_class], dtype=float)
+            y = np.array([rows[i].y for i in by_class])
+            self._key_tables = by_class, place, class_start, x, y
+        by_class, place, class_start, _, _ = self._key_tables
         # Sorted places group each window's rows by class; a repeated index
         # shows as two equal neighbours. A stable sort of these short rows
         # touches less new numpy code, so less resident memory, than the
@@ -255,8 +287,45 @@ class KernelEvaluator(dict):
         # column back gives class start + (column - f).
         columns = np.arange(m)
         canonical = np.maximum.accumulate(class_start[ordered] - columns, axis=1) + columns
-        keys = np.sort(by_class[canonical], axis=1, kind="stable")
-        return list(map(tuple, keys.tolist()))
+        keys = list(map(tuple, np.sort(by_class[canonical], axis=1, kind="stable").tolist()))
+        if self._batch is not None:
+            self._prefill(keys)
+        return keys
+
+    def _prefill(self, keys: list[tuple[int, ...]]) -> None:
+        """Store phi0 of the distinct keys the memo lacks, in loo_errors_batch calls.
+
+        Fewer than _MIN_BATCH such keys are left to __missing__, as is every
+        key that either learner's batch does not answer, so a key that
+        raises raises when it is requested, as it would without the batch.
+        The memo is emptied first if the new keys would not fit in it.
+        """
+        import numpy as np
+
+        missing = list(dict.fromkeys(filterfalse(self.__contains__, keys)))
+        if len(missing) < _MIN_BATCH:
+            return
+        if len(self) + len(missing) > MEMO_SIZE:
+            self.clear()
+        _, place, _, x, y = self._key_tables
+        # A key's rows at ascending places: the subset in canonical order.
+        subsets = np.sort(place[np.array(missing)], axis=1)
+        m = self._m
+        step = max(1, _BATCH_ELEMENTS // (m * m * max(x.shape[1], 1)))
+        batch_a, batch_b = self._batch
+        for start in range(0, len(missing), step):
+            block = subsets[start : start + step]
+            errors_a, answered_a = batch_a(x, y, block)
+            errors_b, answered_b = batch_b(x, y, block)
+            for key, a, b, answered in zip(
+                missing[start : start + step],
+                errors_a.tolist(),
+                errors_b.tolist(),
+                (answered_a & answered_b).tolist(),
+            ):
+                if answered:
+                    self.phi0_evaluations += 1
+                    _remember(self, key, (a - b) / m)
 
     def _key(self, indices: Iterable[int]) -> tuple[int, ...]:
         """Sorted class ids of the rows at indices; IndexError outside 1..n."""

@@ -15,6 +15,14 @@ OverflowError. Rows with equal (x, y) have equal learning multisets once
 held out, so each distinct row is evaluated once. The kernels use it in
 place of m fits and predicts per size-m subset; a learner without it (the
 Learner base class has none) is fitted and queried instead.
+
+Every built-in learner also has loo_errors_batch(x, y, subsets), the same
+count for many subsets at once, with numpy: the kernels call it to fill
+their memo with every new multiset of a chunk of sampled draws before the
+draws are read. It returns a mask of the subsets it answered; a subset it
+leaves unanswered (one whose loo_errors raises, or, for the stump, whose
+split thresholds need the exact fallback) is evaluated by loo_errors when
+it is requested, so it raises there as before.
 """
 
 from __future__ import annotations
@@ -104,6 +112,14 @@ class Learner:
     when fitted on the other rows; the kernels then call it in place of
     fitting and predicting, but only when both learners of a comparison have
     it. It must equal the count that fit and predict give.
+
+    It may also add loo_errors_batch(x, y, subsets) -> (counts, answered).
+    x (N, d) float and y (N,) int are a dataset's rows sorted by (x, y), and
+    subsets a (B, m) int array, m >= 2, of ascending positions into them, so
+    each subset lists its rows in that canonical order. counts[b] must equal
+    loo_errors of the rows at subsets[b] wherever the bool answered[b] is
+    true; answered[b] is false where loo_errors would raise, and may be false
+    wherever else the batch cannot match it exactly.
     """
 
     def fit(self, learning_set: Sequence[Observation]) -> Predictor:
@@ -132,6 +148,11 @@ class _ConstantLearner(Learner):
     def loo_errors(self, rows):
         _learning_size(rows)
         return sum(obs.y != self.label for obs in rows)
+
+    def loo_errors_batch(self, x, y, subsets):
+        import numpy as np
+
+        return (y[subsets] != self.label).sum(axis=1), np.ones(len(subsets), dtype=bool)
 
 
 def constant_learner(label: int) -> Learner:
@@ -240,6 +261,28 @@ class _KnnLearner(Learner):
                 errors += counts[i]
         return errors
 
+    def loo_errors_batch(self, x, y, subsets):
+        import numpy as np
+
+        points, labels = x[subsets], y[subsets]
+        count, m = subsets.shape
+        k = min(self.k, m - 1)
+        # d2[b, i, j]: the squared distance between rows i and j of subset
+        # b, with predict's expression, columns added left to right.
+        d2 = np.zeros((count, m, m))
+        with np.errstate(over="ignore"):
+            for j in range(x.shape[1]):
+                t = points[:, :, None, j] - points[:, None, :, j]
+                d2 += t * t
+        answered = ~np.isinf(d2).any(axis=(1, 2))
+        # A held-out row is no neighbour of itself. The stable sort reads
+        # the others by distance, equal distances in canonical order, as
+        # predict's does on the fitted points.
+        d2[:, range(m), range(m)] = np.inf
+        nearest = np.argsort(d2, axis=2, kind="stable")[..., :k]
+        ones = np.take_along_axis(labels[:, None], nearest, axis=2).sum(axis=2)
+        return ((2 * ones > k) != labels).sum(axis=1), answered
+
 
 def knn_learner(k: int) -> Learner:
     """k-nearest-neighbour majority vote (Euclidean distance).
@@ -285,9 +328,27 @@ class _CentroidLearner(Learner):
 
     def loo_errors(self, rows):
         _learning_size(rows)
+        return self._pair_errors([(obs.x, obs.y) for obs in rows])
+
+    def loo_errors_batch(self, x, y, subsets):
+        # One subset at a time, with loo_errors's exact fsum means.
+        import numpy as np
+
+        pairs = list(zip(map(tuple, x.tolist()), y.tolist()))
+        counts = np.zeros(len(subsets), dtype=np.int64)
+        answered = np.ones(len(subsets), dtype=bool)
+        for b, subset in enumerate(subsets.tolist()):
+            try:
+                counts[b] = self._pair_errors([pairs[i] for i in subset])
+            except OverflowError:
+                answered[b] = False
+        return counts, answered
+
+    def _pair_errors(self, pairs):
+        """loo_errors of the rows given as (x, y) pairs, at least two."""
         by_label: dict[int, list[tuple]] = {0: [], 1: []}
-        for obs in rows:
-            by_label[obs.y].append(obs.x)
+        for x, y in pairs:
+            by_label[y].append(x)
         if not by_label[0] or not by_label[1]:
             # Every fit sees one class and predicts it, which is right.
             return 0
@@ -297,7 +358,7 @@ class _CentroidLearner(Learner):
         whole: dict[int, tuple] = {}
         errors = 0
         previous = None
-        for row in sorted([(obs.x, obs.y) for obs in rows]):
+        for row in sorted(pairs):
             # An equal row has the same learning multiset, so the same outcome.
             if row != previous:
                 previous = x, y = row
@@ -425,6 +486,54 @@ class _StumpLearner(Learner):
                 wrong = _best_stump(held_out, size, total_ones - y).predict(x) != y
             errors += wrong
         return errors
+
+    def loo_errors_batch(self, x, y, subsets):
+        import numpy as np
+
+        labels = y[subsets]
+        count, m = subsets.shape
+        size = m - 1
+        # ones[b, i]: label-1 rows that row i's held-out fit learns on.
+        ones = labels.sum(axis=1, keepdims=True) - labels
+        majority = 2 * ones > size
+        d = x.shape[1]
+        if m == 2 or not d:
+            # One learning row, or no feature: no split exists, so every fit
+            # predicts the majority of its rows.
+            return (majority != labels).sum(axis=1), np.ones(count, dtype=bool)
+        points = x[subsets]
+        columns = points.transpose(0, 2, 1)
+        # Each subset's columns sorted once; held-out row i's learning column
+        # is its sorted column without row i: shape (count, m, d, size).
+        order = np.argsort(columns, axis=2, kind="stable")
+        keep = order[:, None] != np.arange(m)[:, None, None]
+        rows = np.arange(count)[:, None, None]
+        shape, learning = keep.shape, (count, m, d, size)
+        values = np.broadcast_to(columns[rows, np.arange(d)[:, None], order][:, None], shape)
+        values = values[keep].reshape(learning)
+        sorted_labels = np.broadcast_to(labels[rows, order][:, None], shape)
+        sorted_labels = sorted_labels[keep].reshape(learning)
+        # _best_stump's candidates: the rows x <= threshold are the first
+        # n_le of the learning column, wherever the midpoint lies in [lo, hi).
+        lo, hi = values[..., :-1], values[..., 1:]
+        with np.errstate(over="ignore"):
+            threshold = (lo + hi) / 2.0
+        split = lo != hi
+        answered = ~(split & ((threshold < lo) | (threshold >= hi))).any(axis=(1, 2, 3))
+        n_le = np.arange(1, size)
+        ones_le = np.cumsum(sorted_labels[..., :-1], axis=3)
+        ones_gt = ones[:, :, None, None] - ones_le
+        errors = np.minimum(ones_le, n_le - ones_le) + np.minimum(ones_gt, size - n_le - ones_gt)
+        errors = np.where(split, errors, m).reshape(count, m, -1)
+        # Each candidate's prediction for its held-out row; the first with
+        # the fewest errors, in (feature, threshold) order, is the fit.
+        guess = np.where(
+            points[..., None] <= threshold, 2 * ones_le > n_le, 2 * ones_gt > size - n_le
+        )
+        best = errors.argmin(axis=2)[..., None]
+        chosen = np.take_along_axis(guess.reshape(count, m, -1), best, axis=2)[..., 0]
+        predicted = np.where(errors.min(axis=2) < m, chosen, majority)
+        return (predicted != labels).sum(axis=1), answered
 
 
 def stump_learner() -> Learner:

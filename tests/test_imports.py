@@ -1,9 +1,10 @@
-"""numpy is imported only where sampling needs it.
+"""numpy is imported only where sampling needs it, and the oracle only by oracle-check.
 
 Complete mode, oracle-check, --help and input checks that exit before
 estimation never draw a random number, so they must run without loading
-numpy. Each case runs in a fresh interpreter, because this test process
-already holds numpy through the test support code.
+numpy. compare never uses the exhaustive oracle, so it must not load
+ucompare.oracle either. Each case runs in a fresh interpreter, because this
+test process already holds both through the test support code.
 """
 
 import json
@@ -17,28 +18,28 @@ from ucompare.cli import EXIT_DEGENERATE, EXIT_INPUT, EXIT_OK
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
-# Runs cli.main on the argv given as its first argument, or only imports the
-# package when there is none, and prints the exit code and whether numpy is
-# loaded as the last line of stdout.
+# Runs cli.main on the argv given as its second argument, or only imports
+# the package when there is none, and prints the exit code and whether the
+# module named by its first argument is loaded as the last line of stdout.
 SCRIPT = """
 import contextlib, io, json, sys
 import ucompare
 rc = None
-if len(sys.argv) > 1:
+if len(sys.argv) > 2:
     from ucompare import cli
     with contextlib.redirect_stdout(io.StringIO()):
         try:
-            rc = cli.main(json.loads(sys.argv[1]))
+            rc = cli.main(json.loads(sys.argv[2]))
         except SystemExit as exc:
             rc = exc.code
-print(json.dumps({"rc": rc, "numpy": "numpy" in sys.modules}))
+print(json.dumps({"rc": rc, sys.argv[1]: sys.argv[1] in sys.modules}))
 """
 
 
-def run_fresh(argv=None):
+def run_fresh(argv=None, module="numpy"):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    command = [sys.executable, "-c", SCRIPT]
+    command = [sys.executable, "-c", SCRIPT, module]
     if argv is not None:
         command.append(json.dumps(argv))
     proc = subprocess.run(command, capture_output=True, text=True, env=env, timeout=120)
@@ -85,6 +86,19 @@ def test_oracle_check_leaves_numpy_unloaded(options):
 def test_complete_compare_leaves_numpy_unloaded(eight_row_csv):
     result = run_fresh(compare_argv(eight_row_csv, "knn:1", "--complete"))
     assert result == {"rc": EXIT_OK, "numpy": False}
+
+
+def test_complete_compare_leaves_oracle_unloaded(eight_row_csv):
+    result = run_fresh(compare_argv(eight_row_csv, "knn:1", "--complete"), "ucompare.oracle")
+    assert result == {"rc": EXIT_OK, "ucompare.oracle": False}
+
+
+def test_oracle_check_loads_oracle():
+    # The check above would pass vacuously under a misspelt module name.
+    assert run_fresh(["oracle-check", "--list"], "ucompare.oracle") == {
+        "rc": EXIT_OK,
+        "ucompare.oracle": True,
+    }
 
 
 def test_bad_learner_exit_leaves_numpy_unloaded(eight_row_csv):

@@ -601,3 +601,69 @@ class TestLeaveOneOutPath:
         config = EstimatorConfig(draws=300, seed=5, mode=INCOMPLETE)
         assert estimate_variance(loo, config) == estimate_variance(refit, config)
         assert loo.pair_fits == 0 < refit.pair_fits
+
+
+def rows_with_a_huge_pair() -> Dataset:
+    """Ten small rows and two at +-1.7e308, whose squared distances overflow."""
+    xs = [(float(i % 5), float(i // 5)) for i in range(10)] + [(1.7e308, 0.0), (-1.7e308, 1.0)]
+    return Dataset.from_arrays(xs, [i % 2 for i in range(12)])
+
+
+def tied_grid_rows() -> Dataset:
+    """A 3 x 3 grid listed in descending order, so kNN's distance ties go
+    to rows in the reverse of their index order."""
+    points = sorted(itertools.product([0.0, 1.0, 2.0], repeat=2), reverse=True)
+    return Dataset.from_arrays(points, [int(a + 2 * b) % 3 == 0 for a, b in points])
+
+
+class TestBatchPath:
+    """phi0_keys pre-fills the memo in batches; every result is as without it."""
+
+    @pytest.mark.parametrize("pair", sorted(LEARNER_PAIRS))
+    def test_overflow_raises_at_the_same_request(self, pair):
+        def run(kernel):
+            ev = KernelEvaluator(kernel, rows_with_a_huge_pair())
+            requests, product = [], ev.product
+
+            def logged(*windows):
+                requests.append(windows)
+                return product(*windows)
+
+            ev.product = logged
+            with pytest.raises(OverflowError) as raised:
+                estimate_variance(ev, EstimatorConfig(draws=300, seed=2, mode=INCOMPLETE))
+            return requests, str(raised.value), ev
+
+        requests, message, ev = run(ComparisonKernel(*LEARNER_PAIRS[pair], g=2))
+        # The batch filled the memo beyond what the requests so far stored.
+        assert ev.phi0_evaluations > 2 * len(requests)
+        refit = run(ComparisonKernel(*map(Refitting, LEARNER_PAIRS[pair]), g=2))
+        assert (requests, message) == refit[:2]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("pair", sorted(LEARNER_PAIRS))
+    @pytest.mark.parametrize("rows", ["repeats", "distinct", "ties", "no-features"])
+    def test_results_do_not_depend_on_batching(self, pair, rows, monkeypatch):
+        data = {
+            "repeats": eight_rows_of_five_atoms,
+            "distinct": nine_gaussian_rows,
+            "ties": tied_grid_rows,
+            "no-features": lambda: Dataset.from_arrays([()] * 9, [0, 1, 1, 0, 1, 1, 0, 0, 1]),
+        }[rows]()
+        kernel = ComparisonKernel(*LEARNER_PAIRS[pair], g=2)
+        config = EstimatorConfig(draws=300, seed=4, mode=INCOMPLETE)
+
+        def estimate():
+            ev = KernelEvaluator(kernel, data)
+            return estimate_variance(ev, config), ev.phi0_evaluations
+
+        expected = estimate()
+        for elements, smallest in [(1, 1), (10**9, 1), (1, 10**9), (10**9, 10**9)]:
+            monkeypatch.setattr(kernels, "_BATCH_ELEMENTS", elements)
+            monkeypatch.setattr(kernels, "_MIN_BATCH", smallest)
+            assert estimate() == expected
+        # A memo of three entries is emptied on every batch, and the keys it
+        # lost are evaluated again when requested.
+        monkeypatch.setattr(kernels, "MEMO_SIZE", 3)
+        monkeypatch.setattr(kernels, "_MIN_BATCH", 1)
+        assert estimate()[0] == expected[0]

@@ -590,3 +590,57 @@ def test_parse_learner_identifiers():
     for bad in ("knn", "knn:x", "const:2", "forest", "centroid:3", "stump:1", ""):
         with pytest.raises(ValueError):
             parse_learner(bad)
+
+
+def stump_midpoint_leaves_its_pair(rows):
+    """Whether some held-out stump fit has a midpoint outside [lo, hi)."""
+    for i in range(len(rows)):
+        for column in zip(*[obs.x for obs in rows[:i] + rows[i + 1 :]]):
+            values = sorted(column)
+            pairs = zip(values, values[1:])
+            if any(lo != hi and not lo <= (lo + hi) / 2.0 < hi for lo, hi in pairs):
+                return True
+    return False
+
+
+def check_batch(learner, rows, subsets):
+    """loo_errors_batch on subsets of rows, a list of (B, m) position lists, against loo_errors.
+
+    The rows are passed sorted by (x, y), and every subset's positions
+    ascending, as the kernels pass them. An answered count must equal
+    loo_errors; a subset may go unanswered only where loo_errors raises or,
+    for the stump, where a midpoint leaves its pair.
+    """
+    rows = sorted(rows, key=lambda obs: (obs.x, obs.y))
+    x = np.array([obs.x for obs in rows], dtype=float)
+    y = np.array([obs.y for obs in rows])
+    counts, answered = learner.loo_errors_batch(x, y, np.array(subsets))
+    assert len(counts) == len(answered) == len(subsets)
+    for subset, count, ok in zip(subsets, counts.tolist(), answered.tolist()):
+        chosen = [rows[i] for i in subset]
+        expected = outcome(lambda: learner.loo_errors(chosen))
+        if ok:
+            assert count == expected
+        else:
+            stump = isinstance(learner, type(stump_learner()))
+            assert expected is OverflowError or (stump and stump_midpoint_leaves_its_pair(chosen))
+
+
+@pytest.mark.parametrize("learner", ALL_LEARNERS)
+class TestLeaveOneOutBatch:
+    """loo_errors_batch answers with loo_errors's count, or leaves the subset to it."""
+
+    @pytest.mark.parametrize("rows", LOO_CASES)
+    def test_explicit_cases(self, learner, rows):
+        # Every subset of at least two rows, one batch per size.
+        for m in range(2, len(rows) + 1):
+            check_batch(learner, rows, list(itertools.combinations(range(len(rows)), m)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(draw=st.data())
+    def test_equals_loo_errors(self, learner, draw):
+        rows = draw.draw(loo_rows(), label="rows")
+        m = draw.draw(st.integers(2, min(8, len(rows))), label="m")
+        subset = st.permutations(range(len(rows))).map(lambda p: sorted(p[:m]))
+        subsets = draw.draw(st.lists(subset, min_size=1, max_size=4), label="subsets")
+        check_batch(learner, rows, subsets)
