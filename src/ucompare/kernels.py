@@ -5,20 +5,19 @@ misclassifications on one held-out row, an integer in {-1, 0, 1}. phi0, the
 symmetrized kernel, averages phi over the g + 1 rotations of a size-(g+1)
 subset through the test position, so it ignores the order of the subset.
 That sum is learner a's leave-one-out (LOO) error count on the subset minus
-learner b's, so when both learners have loo_errors, phi0 takes one call of
-each per subset and fits nothing; otherwise it fits and predicts through
-phi. product multiplies phi0 on the two windows of one draw, or squares it
-on one window; its means are the second-moment quantities behind the variance
-estimate. Equal row multisets share one memo entry, under a key that is
-itself a valid request. The evaluator is itself a dict, the phi0 memo, and
-phi0 is its lookup: a request equal to a key is answered in C, and any
-other request runs Python. phi0_keys turns arrays of windows into keys in
-bulk, so the sampled estimators request keys and a repeated multiset costs
-one lookup. When both learners have loo_errors_batch, phi0_keys also
-pre-fills the memo: it evaluates the chunk's distinct new keys in numpy
-batches, so the requests that follow are answered in C. The scalar
-references on observations, which the evaluator is checked against, live
-in ucompare.oracle.
+learner b's. product multiplies phi0 on the two windows of one draw, or
+squares it on one window; its means are the second-moment quantities behind
+the variance estimate. Equal row multisets share one memo entry, under a key
+that is itself a valid request. The evaluator is itself a dict, the phi0
+memo, and phi0 is its lookup: a request equal to a key is answered in C, and
+any other request runs Python, which sums phi over the key's rotations.
+phi0_keys turns arrays of windows into keys in bulk, so the sampled
+estimators request keys and a repeated multiset costs one lookup. When both
+learners have loo_errors_batch, phi0_keys also pre-fills the memo: it counts
+the LOO errors of the chunk's distinct new keys in numpy batches, so the
+requests that follow are answered in C. The scalar references on
+observations, which the evaluator is checked against, live in
+ucompare.oracle.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ if TYPE_CHECKING:
 
 # Entries a memo holds before it is emptied. Every reuse the benchmark
 # workloads and the tests show fits in under 2,000 keys (sampled-duplicates:
-# at most 1,716 phi0 keys and 701 learning multisets; complete-enum: 680
+# at most 1,716 phi0 keys and 766 learning multisets; complete-enum: 680
 # phi0 keys). Complete mode stores at most the C(n, m) subsets: each key,
 # and each request that is not its own key. A complete run that finishes
 # within about 5 minutes (n = 22, g = 4) needs at most C(22, 5) = 26,334
@@ -45,12 +44,16 @@ if TYPE_CHECKING:
 # a 2-core Xeon host (about 5.0 million lookups per second).
 MEMO_SIZE = 2**15
 
-# phi0_keys leaves a chunk's new keys to __missing__, one loo_errors call
-# per learner and key, when there are fewer than this. On the benchmark's
+# phi0_keys leaves a chunk's new keys to __missing__, which refits through
+# phi, when there are fewer than this. On the benchmark's seed-0
 # sampled-duplicates data (m = 6, d = 3, 2-core Xeon host), where most
-# phi0_keys calls miss 0-7 keys, the batch calls of both learners take
-# about 0.2 ms plus 15-40 us per key and the per-key path about 70 us per
-# key, so the two meet at about 4 keys.
+# phi0_keys calls miss 0-7 keys, the batch calls of both learners take about
+# 190 us for 1 key and 275 us for 4 (minimum of 200), and a refitted key
+# about 125 us, so the two meet at about 2 keys. But a whole run's
+# evaluation time (_prefill plus __missing__, medians of 41 alternating
+# runs) is flat from 3 to 6, 62-65 ms, and 66-69 ms at 2: refitted keys
+# share their fits through _learned, and _prefill's own work is not in the
+# call times.
 _MIN_BATCH = 4
 
 # Keys per loo_errors_batch call are capped so that keys * m * m * d, the
@@ -115,12 +118,12 @@ class KernelEvaluator(dict):
     multiset's sorted class ids to the list [predictor a, predictor b,
     complement total], where the total stays None until
     phi_complement_total computes it. A key's multiset is evaluated as the
-    difference of the two learners' loo_errors on its rows, divided by m,
-    when both learners have loo_errors (bound once, at construction), and
-    otherwise as the sum of phi over its m rotations, divided by m: the
-    same integer divided by m, so the same float. When both learners also
-    have loo_errors_batch, phi0_keys evaluates the new keys of each call in
-    batches before returning them (see _prefill).
+    sum of phi over its m rotations, divided once by m; phi fits through
+    `_learned`, so keys that share a learning multiset share its fit. When
+    both learners have loo_errors_batch, phi0_keys evaluates the new keys of
+    each call in batches before returning them (see _prefill), as the
+    difference of their leave-one-out counts divided by m: the same integer
+    divided by m, so the same float.
 
     phi0 is the dict lookup itself, so a request equal to a stored key is
     answered in C. Every other request (a first request, an unordered
@@ -137,9 +140,9 @@ class KernelEvaluator(dict):
 
     Two plain int counters record the work done: phi0_evaluations counts
     the symmetrized values computed and pair_fits the fits of the learner
-    pair, one per learning multiset that `_learned` did not hold. Those are
-    the fits for phi_complement_total and, for learners without
-    loo_errors, for phi; the LOO path fits nothing.
+    pair, one per learning multiset that `_learned` did not hold: the fits
+    for phi_complement_total and for phi. A key the batch answers fits
+    nothing.
 
     Each memo holds at most MEMO_SIZE entries and is emptied when an insert
     finds it full, so a run at any budget keeps bounded memory. Attributes
@@ -159,7 +162,6 @@ class KernelEvaluator(dict):
         "_rows",
         "_learned",
         "_key_tables",
-        "_loo",
         "_batch",
         "__dict__",
         "__weakref__",
@@ -188,12 +190,9 @@ class KernelEvaluator(dict):
         self._learned: dict[tuple, list] = {}
         # phi0_keys's numpy tables, built on its first call.
         self._key_tables = None
-        # Both learners' leave-one-out counts, or None when either lacks
-        # them. Bound methods of the learners, not of the evaluator, so the
-        # evaluator holds no reference back to itself.
-        loo_a = getattr(kernel.learner_a, "loo_errors", None)
-        loo_b = getattr(kernel.learner_b, "loo_errors", None)
-        self._loo = None if loo_a is None or loo_b is None else (loo_a, loo_b)
+        # Both learners' batch counts, or None when either lacks them. Bound
+        # methods of the learners, not of the evaluator, so the evaluator
+        # holds no reference back to itself.
         batch_a = getattr(kernel.learner_a, "loo_errors_batch", None)
         batch_b = getattr(kernel.learner_b, "loo_errors_batch", None)
         self._batch = None if batch_a is None or batch_b is None else (batch_a, batch_b)
@@ -228,12 +227,7 @@ class KernelEvaluator(dict):
         if result is None:
             # The sum over the m rotations of phi is learner a's LOO error
             # count minus learner b's: one integer, divided once by m.
-            if self._loo is None:
-                total = sum([self.phi(key[:i] + key[i + 1 :], key[i]) for i in range(m)])
-            else:
-                loo_a, loo_b = self._loo
-                rows = tuple(map(self._rows.__getitem__, key))
-                total = loo_a(rows) - loo_b(rows)
+            total = sum([self.phi(key[:i] + key[i + 1 :], key[i]) for i in range(m)])
             self.phi0_evaluations += 1
             result = _remember(self, key, total / m)
         if request != key:

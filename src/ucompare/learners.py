@@ -7,22 +7,15 @@ inputs overflow. That symmetry is what licenses averaging the comparison
 kernel over unordered subsets, so all tie-breaking below is explicit rather
 than incidental.
 
-Besides fit, every built-in learner has loo_errors(rows): the number of rows
-that the learner, fitted on the other rows, misclassifies. It computes the
-count in one pass over the multiset, without refitting, and equals what fit
-followed by predict gives on every input, including where they raise
-OverflowError. Rows with equal (x, y) have equal learning multisets once
-held out, so each distinct row is evaluated once. The kernels use it in
-place of m fits and predicts per size-m subset; a learner without it (the
-Learner base class has none) is fitted and queried instead.
-
-Every built-in learner also has loo_errors_batch(x, y, subsets), the same
-count for many subsets at once, with numpy: the kernels call it to fill
-their memo with every new multiset of a chunk of sampled draws before the
-draws are read. It returns a mask of the subsets it answered; a subset it
-leaves unanswered (one whose loo_errors raises, or, for the stump, whose
-split thresholds need the exact fallback) is evaluated by loo_errors when
-it is requested, so it raises there as before.
+Besides fit, every built-in learner has loo_errors_batch(x, y, subsets):
+for many subsets at once, with numpy, the number of rows of each subset that
+the learner misclassifies when fitted on the subset's other rows. The
+kernels call it to fill their memo with every new multiset of a chunk of
+sampled draws before the draws are read. It returns a mask of the subsets
+it answered; a subset it leaves unanswered (one whose fit or predict would
+raise, or, for the stump, whose split thresholds need the exact fallback)
+is evaluated by fitting and predicting when it is requested, so it raises
+there as it would without the batch.
 """
 
 from __future__ import annotations
@@ -30,7 +23,6 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_right
-from itertools import repeat
 from typing import Iterable, Sequence
 
 from .dataset import Observation
@@ -80,13 +72,6 @@ def _squared_distances(x: Sequence[float], points: Iterable[Sequence[float]]) ->
     return d2
 
 
-def _learning_size(rows: Sequence[Observation]) -> int:
-    """Rows left to learn on once one of rows is held out; ValueError when none are."""
-    if len(rows) < 2:
-        raise ValueError("cannot fit on an empty learning set")
-    return len(rows) - 1
-
-
 def _without(items: list, item) -> list:
     """A copy of items without its first occurrence of item; a sorted list stays sorted."""
     rest = items.copy()
@@ -108,18 +93,16 @@ class Predictor:
 class Learner:
     """Factory for predictors; fit must be deterministic and symmetric.
 
-    A subclass may add loo_errors(rows), the number of rows it misclassifies
-    when fitted on the other rows; the kernels then call it in place of
-    fitting and predicting, but only when both learners of a comparison have
-    it. It must equal the count that fit and predict give.
-
-    It may also add loo_errors_batch(x, y, subsets) -> (counts, answered).
-    x (N, d) float and y (N,) int are a dataset's rows sorted by (x, y), and
-    subsets a (B, m) int array, m >= 2, of ascending positions into them, so
-    each subset lists its rows in that canonical order. counts[b] must equal
-    loo_errors of the rows at subsets[b] wherever the bool answered[b] is
-    true; answered[b] is false where loo_errors would raise, and may be false
-    wherever else the batch cannot match it exactly.
+    A subclass may add loo_errors_batch(x, y, subsets) -> (counts,
+    answered); the kernels call it only when both learners of a comparison
+    have it. x (N, d) float and y (N,) int are a dataset's rows sorted by
+    (x, y), and subsets a (B, m) int array, m >= 2, of ascending positions
+    into them, so each subset lists its rows in that canonical order.
+    Wherever the bool answered[b] is true, counts[b] must be the number of
+    rows of subset b that the learner misclassifies when fitted on the
+    subset's other rows. answered[b] is false wherever such a fit or predict
+    would raise, and may be false wherever else the batch cannot match it
+    exactly.
     """
 
     def fit(self, learning_set: Sequence[Observation]) -> Predictor:
@@ -144,10 +127,6 @@ class _ConstantLearner(Learner):
         if not learning_set:
             raise ValueError("cannot fit on an empty learning set")
         return _ConstantPredictor(self.label)
-
-    def loo_errors(self, rows):
-        _learning_size(rows)
-        return sum(obs.y != self.label for obs in rows)
 
     def loo_errors_batch(self, x, y, subsets):
         import numpy as np
@@ -215,52 +194,6 @@ class _KnnLearner(Learner):
         points, labels = zip(*sorted([(obs.x, obs.y) for obs in learning_set]))
         return _KnnPredictor(points, labels, min(self.k, len(points)))
 
-    def loo_errors(self, rows):
-        k = min(self.k, _learning_size(rows))
-        # The distinct rows in canonical order, as fit sorts, with their
-        # counts; a held-out row leaves the others in that order.
-        points, labels, counts = [], [], []
-        previous = None
-        for row in sorted([(obs.x, obs.y) for obs in rows]):
-            if row == previous:
-                counts[-1] += 1
-            else:
-                previous = row
-                points.append(row[0])
-                labels.append(row[1])
-                counts.append(1)
-        # Each pair's squared distance once, as predict computes it:
-        # upper[i][j] is the distance between distinct rows i and i + 1 + j.
-        upper = [_squared_distances(x, points[i + 1 :]) for i, x in enumerate(points)]
-        # Each held-out row's predict measures its distance to every other
-        # row, so one inf among the pairs is an inf for some predict.
-        _check_finite(max(map(max, upper[:-1]), default=0.0))
-        # When k takes every other row, the vote does not depend on distance.
-        everyone = k == len(rows) - 1
-        total_ones = sum(map(operator.mul, labels, counts))
-        errors = 0
-        # Equal rows have the same learning multiset, so the same outcome.
-        for i, y in enumerate(labels):
-            if everyone:
-                ones = total_ones - y
-            else:
-                # predict's stable sort reads the other rows by distance,
-                # equal distances in canonical order, so the copies of a
-                # distinct row are adjacent; the held-out row's own other
-                # copies lie at 0.0 in its place.
-                d2 = [upper[j][i - j - 1] for j in range(i)] + [0.0] + upper[i]
-                needed, ones = k, 0
-                for j in sorted(range(len(d2)), key=d2.__getitem__):
-                    taken = counts[j] - (j == i)
-                    if taken >= needed:
-                        ones += labels[j] * needed
-                        break
-                    ones += labels[j] * taken
-                    needed -= taken
-            if _majority(ones, k) != y:
-                errors += counts[i]
-        return errors
-
     def loo_errors_batch(self, x, y, subsets):
         import numpy as np
 
@@ -326,12 +259,8 @@ class _CentroidLearner(Learner):
         )
         return _KnnPredictor(means, _CENTROID_LABELS, 1)
 
-    def loo_errors(self, rows):
-        _learning_size(rows)
-        return self._pair_errors([(obs.x, obs.y) for obs in rows])
-
     def loo_errors_batch(self, x, y, subsets):
-        # One subset at a time, with loo_errors's exact fsum means.
+        # One subset at a time, with fit's exact fsum means.
         import numpy as np
 
         pairs = list(zip(map(tuple, x.tolist()), y.tolist()))
@@ -345,7 +274,12 @@ class _CentroidLearner(Learner):
         return counts, answered
 
     def _pair_errors(self, pairs):
-        """loo_errors of the rows given as (x, y) pairs, at least two."""
+        """Number of the rows in pairs, (x, y) tuples, misclassified by the fit on the others.
+
+        loo_errors_batch's count for one subset of at least two rows: one
+        pass over the multiset, without fitting, gives the count that m fits
+        and predicts give, and raises OverflowError wherever one of them does.
+        """
         by_label: dict[int, list[tuple]] = {0: [], 1: []}
         for x, y in pairs:
             by_label[y].append(x)
@@ -469,23 +403,6 @@ class _StumpLearner(Learner):
         return _best_stump(
             (sorted(zip(column, labels)) for column in columns), len(labels), sum(labels)
         )
-
-    def loo_errors(self, rows):
-        size = _learning_size(rows)
-        labels = [obs.y for obs in rows]
-        total_ones = sum(labels)
-        # Each feature's pairs sorted once; a held-out row drops its own.
-        columns = [sorted(zip(column, labels)) for column in zip(*[obs.x for obs in rows])]
-        errors = 0
-        previous = None
-        for row in sorted([(obs.x, obs.y) for obs in rows]):
-            # An equal row has the same learning multiset, so the same outcome.
-            if row != previous:
-                previous = x, y = row
-                held_out = map(_without, columns, zip(x, repeat(y)))
-                wrong = _best_stump(held_out, size, total_ones - y).predict(x) != y
-            errors += wrong
-        return errors
 
     def loo_errors_batch(self, x, y, subsets):
         import numpy as np

@@ -4,7 +4,8 @@ The K-fold design and the tail bound behind --digits are reference objects
 for the acceptance criteria; sample_dataset draws replicate datasets from an
 oracle distribution; squared_point_variance is a deliberately biased
 variance estimator that the self-checks must catch. Refitting hides a
-built-in learner's loo_errors, so the kernels fit and predict it instead.
+built-in learner's loo_errors_batch, so the kernels fit and predict it for
+every key.
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ def squared_point_variance(ev: KernelEvaluator, config: EstimatorConfig) -> Vari
 
 
 class Refitting:
-    """A learner's fit alone, without loo_errors: the kernels fit and predict it."""
+    """A learner's fit alone, without loo_errors_batch: the kernels fit and predict it."""
 
     def __init__(self, inner):
         self.inner = inner

@@ -100,8 +100,8 @@ class TestCompareHappyPath:
 
     def test_provenance_counts_evaluations_and_fits(self, four_row_csv, capsys):
         # No two of the four rows are equal, so the complete run evaluates
-        # each of the C(4, 2) pairs once. Both learners count LOO errors,
-        # so nothing is fitted.
+        # each of the C(4, 2) pairs once and fits each of the C(4, 1)
+        # learning sets once.
         main(
             [
                 "compare", "--data", four_row_csv, "--learner-a", "knn:1",
@@ -113,7 +113,7 @@ class TestCompareHappyPath:
             "version", "rng", "threads", "wall_time_s", "phi0_evaluations", "pair_fits"
         ]
         assert provenance["phi0_evaluations"] == 6
-        assert provenance["pair_fits"] == 0
+        assert provenance["pair_fits"] == 4
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_complete_run_on_repeated_rows_misses_once_per_request(

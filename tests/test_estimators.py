@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from ucompare import kernels
 from ucompare.dataset import Dataset
 from ucompare.designs import (
     BudgetExceededError,
@@ -298,18 +299,17 @@ class TestSecondMomentEstimates:
             return missing(evaluator, request)
 
         monkeypatch.setattr(KernelEvaluator, "__missing__", counted)
-        # Each subset is evaluated once. The built-in learners count their
-        # LOO errors and fit nothing; learners without loo_errors are fitted
-        # once on each g-row learning part.
+        # Each subset is evaluated once, and both learners are fitted once
+        # on each g-row learning part, whether or not they have a batch.
         refitting = ComparisonKernel(Refitting(knn_learner(1)), constant_learner(0), g=g)
-        for kernel, fits in [(knn_vs_const(g), 0), (refitting, math.comb(n, g))]:
+        for kernel in [knn_vs_const(g), refitting]:
             misses.clear()
             ev = KernelEvaluator(kernel, alternating_rows(n))
             estimate_delta(ev, complete_config())
             estimate_variance(ev, complete_config())
             assert len(misses) == len(set(misses)) == math.comb(n, g + 1)
             assert ev.phi0_evaluations == math.comb(n, g + 1)
-            assert ev.pair_fits == fits
+            assert ev.pair_fits == math.comb(n, g)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("rows", ["distinct", "few atoms"])
@@ -389,7 +389,7 @@ class TestSecondMomentEstimates:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("g", [1, 2, 3])
-    def test_sampled_run_evaluates_each_distinct_multiset_once(self, g):
+    def test_sampled_run_evaluates_each_distinct_multiset_once(self, g, monkeypatch):
         # Brute force: the distinct value multisets among every requested
         # window, and among every learning set the run fits on.
         n, m = 20, g + 1
@@ -410,13 +410,18 @@ class TestSecondMomentEstimates:
                 windows |= {multiset(t[:m]), multiset(t[m - c :])}
         delta_learning = {multiset(t) for t in draws(g, _STREAM_DELTA)}
         window_learning = {w[:i] + w[i + 1 :] for w in windows for i in range(m)}
-        # The built-in learners fit only delta's learning sets; learners
-        # without loo_errors also fit each window's learning parts.
-        refitting = (Refitting(knn_learner(3)), Refitting(stump_learner()))
-        for learners, learning in [
-            ((knn_learner(3), stump_learner()), delta_learning),
-            (refitting, delta_learning | window_learning),
+        # When the batch answers every new key, the built-in learners fit
+        # only delta's learning sets. Keys left to phi, which are all keys
+        # when no chunk reaches _MIN_BATCH or the learners have no batch,
+        # also fit each window's learning parts.
+        built_in = (knn_learner(3), stump_learner())
+        refitting = tuple(map(Refitting, built_in))
+        for learners, smallest, learning in [
+            (built_in, 1, delta_learning),
+            (built_in, 10**9, delta_learning | window_learning),
+            (refitting, 1, delta_learning | window_learning),
         ]:
+            monkeypatch.setattr(kernels, "_MIN_BATCH", smallest)
             ev = KernelEvaluator(ComparisonKernel(*learners, g=g), data)
             estimate_delta(ev, config)
             estimate_variance(ev, config)

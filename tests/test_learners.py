@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ucompare.dataset import Observation
+from ucompare.dataset import Dataset, Observation
+from ucompare.kernels import ComparisonKernel, KernelEvaluator
 from ucompare.learners import (
     centroid_learner,
     constant_learner,
@@ -546,30 +547,46 @@ LOO_CASES = [
 ]
 
 
+def scalar_loo_errors(learner, rows):
+    """The learner's leave-one-out error count of rows, by the kernels' per-key path.
+
+    phi0 of all m rows, requested directly, is the sum of phi over the m
+    rotations, with fits shared through the evaluator's `_learned`: the
+    path every key takes that a batch does not answer. Against
+    constant_learner(0), which misclassifies exactly the label-1 rows, that
+    sum is the learner's count minus the number of label-1 rows.
+    """
+    kernel = ComparisonKernel(learner, constant_learner(0), g=len(rows) - 1)
+    evaluator = KernelEvaluator(kernel, Dataset(tuple(rows)))
+    total = evaluator.phi0(tuple(range(1, len(rows) + 1))) * len(rows)
+    return round(total) + sum(row.y for row in rows)
+
+
 @pytest.mark.parametrize("learner", ALL_LEARNERS)
 class TestLeaveOneOutErrors:
-    """loo_errors(rows) is the count that m fits and predicts give."""
+    """The per-key scalar path's count is the count that m fits and predicts give."""
 
     @pytest.mark.parametrize("rows", LOO_CASES)
     def test_explicit_cases(self, learner, rows):
-        assert outcome(lambda: learner.loo_errors(rows)) == outcome(
+        assert outcome(lambda: scalar_loo_errors(learner, rows)) == outcome(
             lambda: refit_errors(learner, rows)
         )
         # The order of the rows changes nothing.
-        assert outcome(lambda: learner.loo_errors(rows[::-1])) == outcome(
+        assert outcome(lambda: scalar_loo_errors(learner, rows[::-1])) == outcome(
             lambda: refit_errors(learner, rows)
         )
 
     @settings(max_examples=300, deadline=None)
     @given(rows=loo_rows())
     def test_equals_refitting(self, learner, rows):
-        assert outcome(lambda: learner.loo_errors(rows)) == outcome(
+        assert outcome(lambda: scalar_loo_errors(learner, rows)) == outcome(
             lambda: refit_errors(learner, rows)
         )
 
     def test_needs_two_rows(self, learner):
-        with pytest.raises(ValueError, match="empty"):
-            learner.loo_errors(obs((0.0, 1)))
+        # A one-row multiset has no held-out fit: its kernel would need g = 0.
+        with pytest.raises(ValueError, match="g must be >= 1"):
+            scalar_loo_errors(learner, obs((0.0, 1)))
 
 
 def test_centroid_overflow_does_not_depend_on_row_order():
@@ -604,12 +621,13 @@ def stump_midpoint_leaves_its_pair(rows):
 
 
 def check_batch(learner, rows, subsets):
-    """loo_errors_batch on subsets of rows, a list of (B, m) position lists, against loo_errors.
+    """loo_errors_batch on subsets of rows, a list of (B, m) position lists, against refitting.
 
     The rows are passed sorted by (x, y), and every subset's positions
     ascending, as the kernels pass them. An answered count must equal
-    loo_errors; a subset may go unanswered only where loo_errors raises or,
-    for the stump, where a midpoint leaves its pair.
+    refit_errors, m fits and predicts; a subset may go unanswered only where
+    refitting raises OverflowError or, for the stump, where a midpoint leaves
+    its pair.
     """
     rows = sorted(rows, key=lambda obs: (obs.x, obs.y))
     x = np.array([obs.x for obs in rows], dtype=float)
@@ -618,7 +636,7 @@ def check_batch(learner, rows, subsets):
     assert len(counts) == len(answered) == len(subsets)
     for subset, count, ok in zip(subsets, counts.tolist(), answered.tolist()):
         chosen = [rows[i] for i in subset]
-        expected = outcome(lambda: learner.loo_errors(chosen))
+        expected = outcome(lambda: refit_errors(learner, chosen))
         if ok:
             assert count == expected
         else:
@@ -628,7 +646,7 @@ def check_batch(learner, rows, subsets):
 
 @pytest.mark.parametrize("learner", ALL_LEARNERS)
 class TestLeaveOneOutBatch:
-    """loo_errors_batch answers with loo_errors's count, or leaves the subset to it."""
+    """loo_errors_batch answers with the count refitting gives, or leaves the subset to it."""
 
     @pytest.mark.parametrize("rows", LOO_CASES)
     def test_explicit_cases(self, learner, rows):

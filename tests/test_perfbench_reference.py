@@ -1,9 +1,10 @@
 """Each workload's untraced seed-0 run matches the recorded reference.
 
-perfbench/trace_run.py wraps the learners without loo_errors, so the traced
-run checks the fit-and-predict path only. This runs `python -m ucompare.cli`
-as the benchmark does, with the built-in learners, and compares its exit
-code and outputs hash with perfbench/reference.json.
+perfbench/trace_run.py wraps the learners without loo_errors_batch, so the
+traced run checks the fit-and-predict path only; in sampled runs the
+untraced run answers most keys with the batch instead. This runs
+`python -m ucompare.cli` as the benchmark does, with the built-in learners,
+and compares its exit code and outputs hash with perfbench/reference.json.
 """
 
 import os
