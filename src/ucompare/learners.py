@@ -13,15 +13,22 @@ the learner misclassifies when fitted on the subset's other rows. The
 kernels call it to fill their memo with every new multiset of a chunk of
 sampled draws before the draws are read. It returns a mask of the subsets
 it answered; a subset it leaves unanswered (one whose fit or predict would
-raise, or, for the stump, whose split thresholds need the exact fallback)
-is evaluated by fitting and predicting when it is requested, so it raises
+raise, for the stump one whose split thresholds need the exact fallback,
+for the centroid one whose class sums its exact integers do not cover) is
+evaluated by fitting and predicting when it is requested, so it raises
 there as it would without the batch.
+
+The centroid's fit takes each class mean as fsum / count, and fsum is
+correctly rounded. Its batch sums each column's values exactly as int64
+integers on a common binary grid, rounds each sum once to a float, which
+is therefore fsum's value bit for bit, and divides it as fit does.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import sys
 from bisect import bisect_right
 from typing import Iterable, Sequence
 
@@ -70,13 +77,6 @@ def _squared_distances(x: Sequence[float], points: Iterable[Sequence[float]]) ->
             s = s + t * t
         d2.append(s)
     return d2
-
-
-def _without(items: list, item) -> list:
-    """A copy of items without its first occurrence of item; a sorted list stays sorted."""
-    rest = items.copy()
-    rest.remove(item)
-    return rest
 
 
 class Predictor:
@@ -244,8 +244,13 @@ def _column_mean(values: list[float]) -> float:
 # The labels of a centroid predictor's two points, shared by every fit.
 _CENTROID_LABELS = (0, 1)
 
+# The centroid batch splits an exact integer into limbs hi * 2**53 + lo.
+_LIMB = 53
+
 
 class _CentroidLearner(Learner):
+    """The nearest-class-centroid rule; see centroid_learner."""
+
     def fit(self, learning_set):
         if not learning_set:
             raise ValueError("cannot fit on an empty learning set")
@@ -260,58 +265,92 @@ class _CentroidLearner(Learner):
         return _KnnPredictor(means, _CENTROID_LABELS, 1)
 
     def loo_errors_batch(self, x, y, subsets):
-        # One subset at a time, with fit's exact fsum means.
+        """Learner.loo_errors_batch in one numpy pass over the (B, m, d) points.
+
+        Every class sum a held-out fit takes, whole or without the held-out
+        row, is computed exactly in int64 limbs and rounded once, so it is
+        fsum's value and each mean, distance and prediction is fit's and
+        predict's. A subset is left unanswered, to be refitted, where that
+        cannot be guaranteed: m >= 1024; some feature's nonzero values span
+        more than 52 - m.bit_length() binary exponents; a value reaches
+        DBL_MAX / (2m), where a partial sum of fsum's could overflow; or a
+        fit that predicts has an infinite squared distance, where predict
+        raises OverflowError.
+        """
         import numpy as np
 
-        pairs = list(zip(map(tuple, x.tolist()), y.tolist()))
-        counts = np.zeros(len(subsets), dtype=np.int64)
-        answered = np.ones(len(subsets), dtype=bool)
-        for b, subset in enumerate(subsets.tolist()):
-            try:
-                counts[b] = self._pair_errors([pairs[i] for i in subset])
-            except OverflowError:
-                answered[b] = False
-        return counts, answered
-
-    def _pair_errors(self, pairs):
-        """Number of the rows in pairs, (x, y) tuples, misclassified by the fit on the others.
-
-        loo_errors_batch's count for one subset of at least two rows: one
-        pass over the multiset, without fitting, gives the count that m fits
-        and predicts give, and raises OverflowError wherever one of them does.
-        """
-        by_label: dict[int, list[tuple]] = {0: [], 1: []}
-        for x, y in pairs:
-            by_label[y].append(x)
-        if not by_label[0] or not by_label[1]:
-            # Every fit sees one class and predicts it, which is right.
-            return 0
-        columns = {label: [sorted(col) for col in zip(*xs)] for label, xs in by_label.items()}
-        # A class's whole mean, computed only once a fit needs it: a sum that
-        # overflows must raise only where some fit sums the same values.
-        whole: dict[int, tuple] = {}
-        errors = 0
-        previous = None
-        for row in sorted(pairs):
-            # An equal row has the same learning multiset, so the same outcome.
-            if row != previous:
-                previous = x, y = row
-                if len(by_label[y]) == 1:
-                    # The fit sees only the other class and predicts it.
-                    wrong = True
-                else:
-                    other = 1 - y
-                    if other not in whole:
-                        whole[other] = tuple(map(_column_mean, columns[other]))
-                    own = tuple(map(_column_mean, map(_without, columns[y], x)))
-                    means = (own, whole[1]) if y == 0 else (whole[0], own)
-                    # predict of the fitted 1-NN rule over (mean 0, mean 1):
-                    # the nearer mean's label, an exact tie going to 0.
-                    d0, d1 = _squared_distances(x, means)
-                    _check_finite(max(d0, d1))
-                    wrong = (1 if d1 < d0 else 0) != y
-            errors += wrong
-        return errors
+        points, labels = x[subsets], y[subsets]
+        count, m = subsets.shape
+        if m >= 1024:
+            # m low limbs could sum past 2**63.
+            return np.zeros(count, dtype=np.int64), np.zeros(count, dtype=bool)
+        # 1. Exact integers. A value is M * 2**(E - 53) with |M| < 2**53. On
+        # its (subset, feature) column's grid 2**(e - 53), e the smallest E
+        # of the column's nonzero values, it is M * 2**s with s = E - e,
+        # split into limbs hi * 2**53 + lo, 0 <= lo < 2**53.
+        fraction, exponent = np.frexp(points)
+        mantissa = np.ldexp(fraction, _LIMB).astype(np.int64)
+        nonzero = mantissa != 0
+        grid = np.where(nonzero, exponent, 1 << 20).min(axis=1, keepdims=True)
+        shift = np.where(nonzero, exponent - grid, 0)
+        # Up to this shift, |hi| <= 2**s and m < 2**m.bit_length() keep any
+        # sum of m high limbs, carry included, below 2**52 + m, so it
+        # converts to a float exactly.
+        limit = 52 - m.bit_length()
+        answered = shift.max(axis=(1, 2), initial=0) <= limit
+        # Below this, no partial sum of fsum's can overflow.
+        answered &= np.abs(points).max(axis=(1, 2), initial=0.0) < sys.float_info.max / (2 * m)
+        shift = np.minimum(shift, limit).astype(np.int64)
+        limbs = np.stack(
+            [
+                mantissa >> (_LIMB - shift),
+                (mantissa & ((1 << (_LIMB - shift)) - 1)) << shift,
+            ]
+        )
+        # 2. Exact sums: the class totals (B, 2, d), then each held-out
+        # row's own class without it (B, m, d), its class total minus its
+        # own limbs.
+        rows = np.arange(count)[:, None]
+        classes = (labels[:, None] == np.arange(2)[:, None]).astype(np.int64)
+        totals = classes @ limbs
+        sums = np.concatenate([totals, totals[:, rows, labels] - limbs], axis=2)
+        # 3. Rounding. With the carry normalised, hi * 2**53 + lo adds two
+        # exact floats, so it is the exact sum rounded once to 53 bits, and
+        # ldexp scales that exactly: to fsum's value. A sum below the
+        # normal range is a multiple of 2**-1074 under 2**52 of them, so
+        # there it is exact throughout and not rounded a second time.
+        sums[0] += sums[1] >> _LIMB
+        sums[1] &= (1 << _LIMB) - 1
+        sizes = classes.sum(axis=2)
+        own = sizes[rows, labels]
+        with np.errstate(all="ignore"):
+            sums = np.ldexp(sums[0] * 2.0**_LIMB + sums[1], grid - _LIMB)
+            # The means as _column_mean divides them. Held-out row i's fit
+            # on the others has its own class's mean without it and the
+            # other class's whole mean.
+            means = sums / np.maximum(np.concatenate([sizes, own - 1], axis=1), 1)[..., None]
+            is_one = labels[..., None] == 1
+            centres = np.stack(
+                [
+                    np.where(is_one, means[:, None, 0], means[:, 2:]),
+                    np.where(is_one, means[:, 2:], means[:, None, 1]),
+                ],
+                axis=2,
+            )
+            # predict's squared distances to (mean 0, mean 1), t * t added
+            # left to right: d2 (B, m, 2).
+            t = points[:, :, None] - centres
+            squares = t * t
+            d2 = np.zeros((count, m, 2))
+            for j in range(x.shape[1]):
+                d2 += squares[..., j]
+        # Rows whose fit sees both classes predict the nearer mean, an exact
+        # tie going to 0; a fit that sees one class predicts it, which is
+        # wrong only for a row alone in its class.
+        both = (own > 1) & (own < m)
+        answered &= ~(both & np.isinf(d2).any(axis=2)).any(axis=1)
+        wrong = np.where(both, (d2[..., 1] < d2[..., 0]) != labels, own == 1)
+        return wrong.sum(axis=1), answered
 
 
 def centroid_learner() -> Learner:

@@ -30,7 +30,7 @@ from ucompare.estimators import (
     estimate_variance,
 )
 from ucompare.kernels import ComparisonKernel, KernelEvaluator
-from ucompare.learners import constant_learner, knn_learner, stump_learner
+from ucompare.learners import centroid_learner, constant_learner, knn_learner, stump_learner
 
 from support import Refitting
 
@@ -427,6 +427,22 @@ class TestSecondMomentEstimates:
             estimate_variance(ev, config)
             assert 0 < ev.phi0_evaluations == len(windows) < 3 * config.draws
             assert ev.pair_fits == len(learning)
+
+    def test_sampled_centroid_run_refits_no_window(self, monkeypatch):
+        # On Gaussian data the centroid's batch, like kNN's, answers every
+        # new key, so the run fits only delta's learning sets: a key the
+        # batch left to refitting would fit that key's learning parts too.
+        n, g = 40, 6
+        data = gaussian_rows(n)
+        config = EstimatorConfig(draws=300, seed=9, mode=INCOMPLETE)
+        monkeypatch.setattr(kernels, "_MIN_BATCH", 1)
+        ev = KernelEvaluator(ComparisonKernel(knn_learner(3), centroid_learner(), g=g), data)
+        estimate_delta(ev, config)
+        estimate_variance(ev, config)
+        stream = make_stream(config.seed, _STREAM_DELTA)
+        draws = sample_ordered_subsets(n, g, config.draws, stream).tolist()
+        assert ev.phi0_evaluations > config.draws
+        assert ev.pair_fits == len({tuple(sorted(t)) for t in draws})
 
     def test_disjoint_window_complete_value(self):
         # The three pairings of {1,2,3,4} into two disjoint pairs give

@@ -595,8 +595,11 @@ class TestLeaveOneOutPath:
         loo, refit = KernelEvaluator(loo_kernel, data), KernelEvaluator(refit_kernel, data)
         subsets = list(itertools.combinations(range(1, data.n + 1), 3))
         assert [loo.phi0(s) for s in subsets] == [refit.phi0(s) for s in subsets]
-        # Complete mode has no batch, so both fit each learning multiset once.
+        # Complete mode has no batch, so both fit each learning multiset
+        # once; the oracle's phi0 is the reference independent of the memo.
         assert loo.pair_fits == refit.pair_fits
+        for s in subsets:
+            assert loo.phi0(s) == phi0_value(loo_kernel, [data.observation(i) for i in s])
         # Sampled windows, requested as keys through phi0_keys, on fresh memos.
         loo, refit = KernelEvaluator(loo_kernel, data), KernelEvaluator(refit_kernel, data)
         config = EstimatorConfig(draws=300, seed=5, mode=INCOMPLETE)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -500,10 +501,14 @@ def outcome(count):
 # Feature values: small integers tie distances exactly and repeat rows; 1,
 # 1 + 1ulp and 1 + 2ulp give a stump midpoint that rounds up to hi; the
 # large values overflow a midpoint, a centroid sum or a squared distance.
+# The tiny ones give subnormal centroid sums, and beside 1 or 2 binary
+# exponents that span more (2.7e-17) or just no more (1.1e-14) than the
+# centroid batch's exact sums cover.
 LOO_VALUES = st.one_of(
     st.integers(-2, 2).map(float),
     st.sampled_from([ONE, ONE_UP, ONE_UP2]),
     st.sampled_from([-HUGE, -1.6e308, -1e308, 1e308, 1.6e308, HUGE, 1.2e154]),
+    st.sampled_from([5e-324, sys.float_info.min, 1e-300, 2.7e-17, 1.1e-14]),
     st.floats(-10, 10, allow_nan=False),
 )
 
@@ -544,6 +549,12 @@ LOO_CASES = [
     # Single-class rows, and differences whose squares overflow.
     obs((0.0, 1), (3.0, 1), (1.0, 1)),
     obs((-1.7e308, 0), (1.7e308, 1), (0.0, 1), (1.0, 0)),
+    # Exact distance ties that a class mean off by one ulp would break: one
+    # where float sums do not undo a held-out row ((2.0 + 2.1) - 2.1 is not
+    # 2.0), and one whose sum of mixed signs carries between the centroid
+    # batch's limbs.
+    obs((2.0, 0), (2.0, 1), (2.1, 0)),
+    obs((-2.0, 1), (2.0, 1), (3.0000000000000004, 1), (3.5, 0)),
 ]
 
 
@@ -620,14 +631,32 @@ def stump_midpoint_leaves_its_pair(rows):
     return False
 
 
+def centroid_sum_leaves_the_batch(rows):
+    """Whether the centroid batch's exact integer sums may not cover rows.
+
+    They cover m rows unless a value reaches DBL_MAX / (2m), where a partial
+    sum of fsum's could overflow, or some feature's nonzero values span more
+    than 52 - m.bit_length() binary exponents.
+    """
+    m = len(rows)
+    if max((abs(v) for row in rows for v in row.x), default=0.0) >= sys.float_info.max / (2 * m):
+        return True
+    for column in zip(*[row.x for row in rows]):
+        exponents = [math.frexp(v)[1] for v in column if v]
+        if exponents and max(exponents) - min(exponents) > 52 - m.bit_length():
+            return True
+    return False
+
+
 def check_batch(learner, rows, subsets):
     """loo_errors_batch on subsets of rows, a list of (B, m) position lists, against refitting.
 
     The rows are passed sorted by (x, y), and every subset's positions
     ascending, as the kernels pass them. An answered count must equal
     refit_errors, m fits and predicts; a subset may go unanswered only where
-    refitting raises OverflowError or, for the stump, where a midpoint leaves
-    its pair.
+    refitting raises OverflowError, for the stump where a midpoint leaves its
+    pair, and for the centroid where its exact sums do not cover the subset.
+    Returns the answered mask.
     """
     rows = sorted(rows, key=lambda obs: (obs.x, obs.y))
     x = np.array([obs.x for obs in rows], dtype=float)
@@ -639,9 +668,13 @@ def check_batch(learner, rows, subsets):
         expected = outcome(lambda: refit_errors(learner, chosen))
         if ok:
             assert count == expected
+        elif isinstance(learner, type(stump_learner())):
+            assert expected is OverflowError or stump_midpoint_leaves_its_pair(chosen)
+        elif isinstance(learner, type(centroid_learner())):
+            assert expected is OverflowError or centroid_sum_leaves_the_batch(chosen)
         else:
-            stump = isinstance(learner, type(stump_learner()))
-            assert expected is OverflowError or (stump and stump_midpoint_leaves_its_pair(chosen))
+            assert expected is OverflowError
+    return answered.tolist()
 
 
 @pytest.mark.parametrize("learner", ALL_LEARNERS)
@@ -662,3 +695,41 @@ class TestLeaveOneOutBatch:
         subset = st.permutations(range(len(rows))).map(lambda p: sorted(p[:m]))
         subsets = draw.draw(st.lists(subset, min_size=1, max_size=4), label="subsets")
         check_batch(learner, rows, subsets)
+
+
+class TestCentroidBatch:
+    """The centroid batch answers ordinary data, and leaves the rest to refitting."""
+
+    @staticmethod
+    def gaussian_rows(residue):
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((200, 5))
+        if residue:
+            x[17, 3] = 2.7e-17
+        y = (x[:, 0] + rng.standard_normal(200) > 0).astype(int)
+        return sorted(
+            [Observation(tuple(map(float, row)), label) for row, label in zip(x, y.tolist())],
+            key=lambda obs: (obs.x, obs.y),
+        )
+
+    def test_gaussian_subsets_are_answered_unless_they_hold_a_residue(self):
+        rng = np.random.default_rng(5)
+        subsets = [sorted(rng.choice(200, 21, replace=False).tolist()) for _ in range(150)]
+        assert all(check_batch(centroid_learner(), self.gaussian_rows(False), subsets))
+        # One value 2**-55 beside values near 1 spans more exponents than
+        # the limbs cover at m = 21, so exactly the subsets holding it go
+        # unanswered.
+        rows = self.gaussian_rows(True)
+        (residue,) = [i for i, row in enumerate(rows) if 2.7e-17 in row.x]
+        holding = [residue in subset for subset in subsets]
+        assert 0 < sum(holding) < len(subsets)
+        answered = check_batch(centroid_learner(), rows, subsets)
+        assert answered == [not held for held in holding]
+
+    def test_large_subsets_are_left_to_refitting(self):
+        # From 1,024 rows the low limbs' sum could pass 2**63.
+        x = np.arange(1024.0)[:, None]
+        y = np.arange(1024) % 2
+        for m in (1023, 1024):
+            _, answered = centroid_learner().loo_errors_batch(x, y, np.arange(m)[None])
+            assert answered.tolist() == [m < 1024]
