@@ -3,11 +3,11 @@
 The point estimate averages the symmetrized kernel over size-(g+1) subsets:
 over all of them in complete mode (the minimum-variance unbiased choice), or
 over independent uniform draws in incomplete mode, where the batched scheme
-fits once per draw and scores every held-out row. The same two modes produce
-the second-moment statistics (overlap products and the disjoint-window
-square) that combine with hypergeometric weights into an unbiased estimate
-of the point estimate's variance, which exists whenever n >= 2g + 2. Every
-estimator reads the kernel and the sample from one KernelEvaluator and its
+evaluates each drawn learning set once and scores every held-out row. The
+same two modes produce the second-moment statistics (overlap products and
+the disjoint-window square) that combine with hypergeometric weights into an
+unbiased estimate of the point estimate's variance, which exists whenever
+n >= 2g + 2. Every estimator reads the kernel and the sample from one KernelEvaluator and its
 draw budget, seed and mode from one EstimatorConfig.
 
 Determinism: every statistic derives its own stream from (seed, statistic
@@ -60,7 +60,7 @@ class EstimatorConfig:
 
     In incomplete mode every statistic averages `draws` independent draws
     from its own stream of the seed; for the point estimate a draw is one
-    learning set, fitted once. In complete mode draws and seed are ignored
+    learning set, evaluated once. In complete mode draws and seed are ignored
     and every subset is enumerated instead.
     """
 
@@ -163,9 +163,13 @@ def estimate_delta(evaluator: KernelEvaluator, config: EstimatorConfig) -> float
     """Estimate the expected error-rate difference of the evaluator's two algorithms.
 
     Complete mode averages the symmetrized kernel over every size-(g+1)
-    subset. Incomplete mode draws config.draws uniform learning sets, fits
-    both learners once per draw, scores all n - g held-out rows, and averages
-    every contribution; the budget counts fits, not pointwise evaluations.
+    subset. Incomplete mode draws config.draws uniform learning sets, scores
+    each one's n - g held-out rows with phi_complement_total, and averages
+    every contribution; the budget counts learning sets, not pointwise
+    evaluations. The draws go to phi_complement_total as keys, converted a
+    bounded chunk at a time, so each distinct learning multiset is evaluated
+    once while the memo holds it: in numpy batches when both learners have
+    holdout_errors_batch, else by fitting both learners and predicting.
     """
     g, n = evaluator.kernel.g, evaluator.data.n
     if config.mode == COMPLETE:
@@ -174,7 +178,7 @@ def estimate_delta(evaluator: KernelEvaluator, config: EstimatorConfig) -> float
     draws = sample_ordered_subsets(n, g, config.draws, stream)
     totals: list[int] = []
     for chunk in _chunks(draws):
-        totals += map(evaluator.phi_complement_total, chunk.tolist())
+        totals += map(evaluator.phi_complement_total, evaluator.learning_keys(chunk))
     return math.fsum(totals) / (config.draws * (n - g))
 
 

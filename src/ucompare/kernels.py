@@ -15,8 +15,11 @@ phi0_keys turns arrays of windows into keys in bulk, so the sampled
 estimators request keys and a repeated multiset costs one lookup. When both
 learners have loo_errors_batch, phi0_keys also pre-fills the memo: it counts
 the LOO errors of the chunk's distinct new keys in numpy batches, so the
-requests that follow are answered in C. The scalar references on
-observations, which the evaluator is checked against, live in
+requests that follow are answered in C. learning_keys does the same for the
+sampled point estimate's learning sets: phi_complement_total, the sum of phi
+over every row outside a learning set, is read from a second memo, which
+holdout_errors_batch pre-fills when both learners have it. The scalar
+references on observations, which the evaluator is checked against, live in
 ucompare.oracle.
 """
 
@@ -45,7 +48,8 @@ if TYPE_CHECKING:
 MEMO_SIZE = 2**15
 
 # phi0_keys leaves a chunk's new keys to __missing__, which refits through
-# phi, when there are fewer than this. On the benchmark's seed-0
+# phi, when there are fewer than this, and learning_keys leaves them to
+# phi_complement_total, which fits and predicts. On the benchmark's seed-0
 # sampled-duplicates data (m = 6, d = 3, 2-core Xeon host), where most
 # phi0_keys calls miss 0-7 keys, the batch calls of both learners take about
 # 190 us for 1 key and 275 us for 4 (minimum of 200), and a refitted key
@@ -56,11 +60,12 @@ MEMO_SIZE = 2**15
 # call times.
 _MIN_BATCH = 4
 
-# Keys per loo_errors_batch call are capped so that keys * m * m * d, the
-# size of the largest array a built-in learner's batch builds, stays under
-# this: about 300 keys at m = 6, d = 3. It bounds the memory a call takes,
-# and calls of 1,024 keys there took 30-40% longer per key than calls of
-# 300.
+# Keys per batch call are capped so that the size of the largest array a
+# built-in learner's batch builds stays under this: keys * m * m * d for
+# loo_errors_batch, about 300 keys at m = 6, d = 3, and keys * n * g * d
+# for holdout_errors_batch, about 36 keys at n = 60, g = 5, d = 3. It bounds
+# the memory a call takes, and loo_errors_batch calls of 1,024 keys at
+# m = 6, d = 3 took 30-40% longer per key than calls of 300.
 _BATCH_ELEMENTS = 2**15
 
 
@@ -94,6 +99,13 @@ def _remember(memo: dict, key, value):
     return value
 
 
+def _both(kernel: ComparisonKernel, method: str):
+    """The pair (learner a's method, learner b's), or None when either lacks it."""
+    method_a = getattr(kernel.learner_a, method, None)
+    method_b = getattr(kernel.learner_b, method, None)
+    return None if method_a is None or method_b is None else (method_a, method_b)
+
+
 def _predict_rows(predictor, xs: list) -> list:
     """Labels of the rows xs; a predictor without predict_batch predicts row by row."""
     predict_batch = getattr(predictor, "predict_batch", None)
@@ -115,15 +127,21 @@ class KernelEvaluator(dict):
     m distinct rows in 1..n, equal multisets get equal keys, and a key is a
     valid request that is its own key; when no two rows are equal, the key
     of a request is the sorted request. `_learned` maps a learning
-    multiset's sorted class ids to the list [predictor a, predictor b,
-    complement total], where the total stays None until
-    phi_complement_total computes it. A key's multiset is evaluated as the
-    sum of phi over its m rotations, divided once by m; phi fits through
-    `_learned`, so keys that share a learning multiset share its fit. When
-    both learners have loo_errors_batch, phi0_keys evaluates the new keys of
-    each call in batches before returning them (see _prefill), as the
-    difference of their leave-one-out counts divided by m: the same integer
-    divided by m, so the same float.
+    multiset's sorted class ids to the pair (predictor a, predictor b). A
+    key's multiset is evaluated as the sum of phi over its m rotations,
+    divided once by m; phi fits through `_learned`, so keys that share a
+    learning multiset share its fit. When both learners have
+    loo_errors_batch, phi0_keys evaluates the new keys of each call in
+    batches before returning them (see _prefill), as the difference of their
+    leave-one-out counts divided by m: the same integer divided by m, so the
+    same float.
+
+    `_totals` is the second memo: it maps the key of a size-g learning
+    multiset, built as for phi0, to its complement total, an int. When both
+    learners have holdout_errors_batch, learning_keys evaluates the new keys
+    of each call in batches before returning them, from which rows each
+    learner, fitted on the key's rows, misclassifies: the same integer
+    phi_complement_total's fit and predict give.
 
     phi0 is the dict lookup itself, so a request equal to a stored key is
     answered in C. Every other request (a first request, an unordered
@@ -141,7 +159,7 @@ class KernelEvaluator(dict):
     Two plain int counters record the work done: phi0_evaluations counts
     the symmetrized values computed and pair_fits the fits of the learner
     pair, one per learning multiset that `_learned` did not hold: the fits
-    for phi_complement_total and for phi. A key the batch answers fits
+    for phi_complement_total and for phi. A key a batch answers fits
     nothing.
 
     Each memo holds at most MEMO_SIZE entries and is emptied when an insert
@@ -161,8 +179,10 @@ class KernelEvaluator(dict):
         "_members",
         "_rows",
         "_learned",
+        "_totals",
         "_key_tables",
         "_batch",
+        "_holdout",
         "__dict__",
         "__weakref__",
     )
@@ -187,15 +207,16 @@ class KernelEvaluator(dict):
         self._class_of = {i: k for k, rows in self._members.items() for i in rows}.__getitem__
         # Rows by 1-based index, read only after a key has validated the indices.
         self._rows = (None, *data.observations)
-        self._learned: dict[tuple, list] = {}
-        # phi0_keys's numpy tables, built on its first call.
+        self._learned: dict[tuple, tuple] = {}
+        self._totals: dict[tuple, int] = {}
+        # The numpy tables of phi0_keys and learning_keys, built on the
+        # first call of either.
         self._key_tables = None
-        # Both learners' batch counts, or None when either lacks them. Bound
+        # Both learners' batches, or None when either lacks them. Bound
         # methods of the learners, not of the evaluator, so the evaluator
         # holds no reference back to itself.
-        batch_a = getattr(kernel.learner_a, "loo_errors_batch", None)
-        batch_b = getattr(kernel.learner_b, "loo_errors_batch", None)
-        self._batch = None if batch_a is None or batch_b is None else (batch_a, batch_b)
+        self._batch = _both(kernel, "loo_errors_batch")
+        self._holdout = _both(kernel, "holdout_errors_batch")
 
     # Symmetrized kernel over a subset (a tuple of m distinct row indices),
     # memoized by its key; see the class docstring and __missing__.
@@ -217,12 +238,7 @@ class KernelEvaluator(dict):
             raise IndexError(f"index {exc.args[0]!r} outside 1..{self.data.n}") from None
         if len(ids) != m or len(set(request)) != m:
             raise ValueError(f"need {m} distinct indices, got {tuple(request)}")
-        key = tuple(ids)
-        if len(set(ids)) != m:
-            # A class that appears r times stands for its first r rows: the
-            # id k at sorted position j takes row j - ids.index(k) of class k.
-            members = self._members
-            key = tuple(sorted([members[k][j - ids.index(k)] for j, k in enumerate(ids)]))
+        key = self._canonical(ids)
         result = self.get(key)
         if result is None:
             # The sum over the m rotations of phi is learner a's LOO error
@@ -234,6 +250,15 @@ class KernelEvaluator(dict):
             _remember(self, request, result)
         return result
 
+    def _canonical(self, ids: Sequence[int]) -> tuple[int, ...]:
+        """The memo key of the multiset whose sorted class ids are ids."""
+        if len(set(ids)) == len(ids):
+            return tuple(ids)
+        # A class that appears r times stands for its first r rows: the id
+        # k at sorted position j takes row j - ids.index(k) of class k.
+        members = self._members
+        return tuple(sorted([members[k][j - ids.index(k)] for j, k in enumerate(ids)]))
+
     def phi0_keys(self, windows: np.ndarray) -> list[tuple[int, ...]]:
         """The phi0 keys of the rows of windows, an integer array of shape (count, m).
 
@@ -244,11 +269,33 @@ class KernelEvaluator(dict):
         loo_errors_batch, the keys the memo lacks are evaluated before the
         keys are returned.
         """
+        keys = self._keys(windows, self._m)
+        if self._batch is not None:
+            self._prefill(self, keys, self._m * self._m, self._loo_values)
+        return keys
+
+    def learning_keys(self, draws: np.ndarray) -> list[tuple[int, ...]]:
+        """The keys of the learning sets in the rows of draws, an integer array of shape (count, g).
+
+        A key names the multiset of its draw's rows as a phi0 key does, with
+        the same checks, and is a valid request of phi_complement_total,
+        which answers it from `_totals`. When both learners have
+        holdout_errors_batch, the keys that memo lacks are evaluated before
+        the keys are returned.
+        """
+        g = self.kernel.g
+        keys = self._keys(draws, g)
+        if self._holdout is not None:
+            self._prefill(self._totals, keys, self.data.n * g, self._holdout_totals)
+        return keys
+
+    def _keys(self, windows: np.ndarray, width: int) -> list[tuple[int, ...]]:
+        """The memo keys of the rows of windows, an integer array of shape (count, width)."""
         import numpy as np
 
-        n, m = self.data.n, self._m
-        if windows.ndim != 2 or windows.shape[1] != m:
-            raise ValueError(f"need windows of {m} indices, got shape {windows.shape}")
+        n = self.data.n
+        if windows.ndim != 2 or windows.shape[1] != width:
+            raise ValueError(f"need windows of {width} indices, got shape {windows.shape}")
         if windows.size and not (windows.min() >= 1 and windows.max() <= n):
             raise IndexError(f"window index outside 1..{n}")
         if self._key_tables is None:
@@ -256,7 +303,7 @@ class KernelEvaluator(dict):
             # class, the classes in canonical (x, y) order; place[i] is where
             # row i sits in it, and class_start[p] where the class of the
             # row at p starts. x and y hold the rows in by_class's order,
-            # for loo_errors_batch.
+            # for the learners' batches.
             members, rows = self._members, self._rows
             ids = sorted(members, key=lambda k: (rows[k].x, rows[k].y))
             by_class = np.array([i for k in ids for i in members[k]])
@@ -273,53 +320,67 @@ class KernelEvaluator(dict):
         # default one.
         ordered = np.sort(place[windows], axis=1, kind="stable")
         if (ordered[:, 1:] == ordered[:, :-1]).any():
-            raise ValueError(f"need {m} distinct indices in every window")
+            raise ValueError(f"need {width} distinct indices in every window")
         # The j-th member of a class in a window (from 0) becomes the class's
         # j-th row. Along the run of a class that starts at column f, the
         # running maximum of (class start - column) is class start - f,
         # since every earlier class ends before this one starts; adding the
         # column back gives class start + (column - f).
-        columns = np.arange(m)
+        columns = np.arange(width)
         canonical = np.maximum.accumulate(class_start[ordered] - columns, axis=1) + columns
-        keys = list(map(tuple, np.sort(by_class[canonical], axis=1, kind="stable").tolist()))
-        if self._batch is not None:
-            self._prefill(keys)
-        return keys
+        return list(map(tuple, np.sort(by_class[canonical], axis=1, kind="stable").tolist()))
 
-    def _prefill(self, keys: list[tuple[int, ...]]) -> None:
-        """Store phi0 of the distinct keys the memo lacks, in loo_errors_batch calls.
+    def _prefill(self, memo: dict, keys: list[tuple[int, ...]], per_key: int, evaluate) -> None:
+        """Store in memo the values of the distinct keys it lacks, in batches.
 
-        Fewer than _MIN_BATCH such keys are left to __missing__, as is every
-        key that either learner's batch does not answer, so a key that
-        raises raises when it is requested, as it would without the batch.
-        The memo is emptied first if the new keys would not fit in it.
+        evaluate takes a (B, k) array of the keys' places in the key tables,
+        ascending, so each lists its rows in canonical order, and returns
+        the arrays (values, answered). A batch holds at most
+        _BATCH_ELEMENTS // (per_key * d) keys, d the number of features or
+        1 if there are none. Fewer than _MIN_BATCH missing keys
+        are left to the memo's own miss path, as is every key evaluate does
+        not answer, so a key that raises raises when it is requested, as it
+        would without the batch. The memo is emptied first if the new keys
+        would not fit in it.
         """
         import numpy as np
 
-        missing = list(dict.fromkeys(filterfalse(self.__contains__, keys)))
+        missing = list(dict.fromkeys(filterfalse(memo.__contains__, keys)))
         if len(missing) < _MIN_BATCH:
             return
-        if len(self) + len(missing) > MEMO_SIZE:
-            self.clear()
-        _, place, _, x, y = self._key_tables
-        # A key's rows at ascending places: the subset in canonical order.
-        subsets = np.sort(place[np.array(missing)], axis=1)
-        m = self._m
-        step = max(1, _BATCH_ELEMENTS // (m * m * max(x.shape[1], 1)))
-        batch_a, batch_b = self._batch
+        if len(memo) + len(missing) > MEMO_SIZE:
+            memo.clear()
+        subsets = np.sort(self._key_tables[1][np.array(missing)], axis=1)
+        step = max(1, _BATCH_ELEMENTS // (per_key * max(self._key_tables[3].shape[1], 1)))
         for start in range(0, len(missing), step):
-            block = subsets[start : start + step]
-            errors_a, answered_a = batch_a(x, y, block)
-            errors_b, answered_b = batch_b(x, y, block)
-            for key, a, b, answered in zip(
-                missing[start : start + step],
-                errors_a.tolist(),
-                errors_b.tolist(),
-                (answered_a & answered_b).tolist(),
+            values, answered = evaluate(subsets[start : start + step])
+            for key, value, ok in zip(
+                missing[start : start + step], values.tolist(), answered.tolist()
             ):
-                if answered:
-                    self.phi0_evaluations += 1
-                    _remember(self, key, (a - b) / m)
+                if ok:
+                    _remember(memo, key, value)
+
+    def _loo_values(self, subsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """phi0 of subsets: learner a's leave-one-out count minus b's, divided by m."""
+        _, _, _, x, y = self._key_tables
+        batch_a, batch_b = self._batch
+        errors_a, answered_a = batch_a(x, y, subsets)
+        errors_b, answered_b = batch_b(x, y, subsets)
+        answered = answered_a & answered_b
+        self.phi0_evaluations += int(answered.sum())
+        return (errors_a - errors_b) / self._m, answered
+
+    def _holdout_totals(self, subsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Complement totals of learning subsets: phi summed over every row, minus over the subset's."""
+        import numpy as np
+
+        _, _, _, x, y = self._key_tables
+        batch_a, batch_b = self._holdout
+        wrong_a, answered_a = batch_a(x, y, subsets)
+        wrong_b, answered_b = batch_b(x, y, subsets)
+        phi = wrong_a.astype(np.int64) - wrong_b
+        totals = phi.sum(axis=1) - np.take_along_axis(phi, subsets, axis=1).sum(axis=1)
+        return totals, answered_a & answered_b
 
     def _key(self, indices: Iterable[int]) -> tuple[int, ...]:
         """Sorted class ids of the rows at indices; IndexError outside 1..n."""
@@ -328,9 +389,11 @@ class KernelEvaluator(dict):
         except KeyError as exc:
             raise IndexError(f"index {exc.args[0]!r} outside 1..{self.data.n}") from None
 
-    def _learned_entry(self, learn_indices: Sequence[int]) -> list:
-        """The `_learned` entry of the rows at learn_indices, fitting both learners on a miss."""
-        key = self._key(learn_indices)
+    def _learned_entry(self, key: tuple[int, ...], learn_indices: Sequence[int]) -> tuple:
+        """The predictor pair fitted on the rows at learn_indices, whose class ids are key.
+
+        Both learners are fitted on a miss in `_learned`.
+        """
         entry = self._learned.get(key)
         if entry is None:
             learn_obs = tuple(map(self._rows.__getitem__, learn_indices))
@@ -338,7 +401,7 @@ class KernelEvaluator(dict):
             entry = _remember(
                 self._learned,
                 key,
-                [self.kernel.learner_a.fit(learn_obs), self.kernel.learner_b.fit(learn_obs), None],
+                (self.kernel.learner_a.fit(learn_obs), self.kernel.learner_b.fit(learn_obs)),
             )
         return entry
 
@@ -354,23 +417,34 @@ class KernelEvaluator(dict):
         if test_index in learn_indices:
             raise ValueError(f"test index {test_index} also appears in the learning part")
         obs = self.data.observation(test_index)
-        pred_a, pred_b, _ = self._learned_entry(learn_indices)
+        pred_a, pred_b = self._learned_entry(self._key(learn_indices), learn_indices)
         return misclassification_loss(pred_a.predict(obs.x), obs.y) - misclassification_loss(
             pred_b.predict(obs.x), obs.y
         )
 
     def phi_complement_total(self, learn_indices: Sequence[int]) -> int:
-        """Sum of phi over every row outside learn_indices, fitting once.
+        """Sum of phi over every row outside learn_indices, an int.
 
         The learning indices are distinct and rows with equal (x, y) have
         equal values, so the total depends only on the learning multiset and
-        takes one predict_batch call per predictor and multiset, on every
-        row's `Observation.x`, the tuple phi passes to predict.
+        is memoized in `_totals` under its key. A request equal to a stored
+        key, such as a key from learning_keys, is answered by the lookup.
+        Any other request is checked, and unless `_totals` holds its key,
+        both learners are fitted through `_learned` and each predictor
+        labels every row in one predict_batch call, on every row's
+        `Observation.x`, the tuple phi passes to predict; a predictor
+        without predict_batch predicts row by row.
         """
+        try:
+            return self._totals[learn_indices]
+        except (KeyError, TypeError):
+            pass
         self._check_learning(learn_indices)
-        entry = self._learned_entry(learn_indices)
-        if entry[2] is None:
-            pred_a, pred_b, _ = entry
+        ids = self._key(learn_indices)
+        key = self._canonical(ids)
+        total = self._totals.get(key)
+        if total is None:
+            pred_a, pred_b = self._learned_entry(ids, learn_indices)
             xs = [obs.x for obs in self.data.observations]
             out_a = _predict_rows(pred_a, xs)
             out_b = _predict_rows(pred_b, xs)
@@ -378,8 +452,9 @@ class KernelEvaluator(dict):
                 misclassification_loss(a, obs.y) - misclassification_loss(b, obs.y)
                 for a, b, obs in zip(out_a, out_b, self.data.observations)
             ]
-            entry[2] = sum(rows) - sum(rows[i - 1] for i in learn_indices)
-        return entry[2]
+            total = sum(rows) - sum(rows[i - 1] for i in learn_indices)
+            _remember(self._totals, key, total)
+        return total
 
     def product(self, first: tuple[int, ...], second: tuple[int, ...] | None = None) -> float:
         """phi0(first) * phi0(second) on the two windows of one draw.

@@ -7,11 +7,13 @@ inputs overflow. That symmetry is what licenses averaging the comparison
 kernel over unordered subsets, so all tie-breaking below is explicit rather
 than incidental.
 
-Besides fit, every built-in learner has loo_errors_batch(x, y, subsets):
-for many subsets at once, with numpy, the number of rows of each subset that
-the learner misclassifies when fitted on the subset's other rows. The
-kernels call it to fill their memo with every new multiset of a chunk of
-sampled draws before the draws are read. It returns a mask of the subsets
+Besides fit, every built-in learner has two numpy batches over many subsets
+at once. loo_errors_batch(x, y, subsets) counts the rows of each subset that
+the learner misclassifies when fitted on the subset's other rows;
+holdout_errors_batch(x, y, subsets) marks, for each subset, every row of the
+dataset that the learner misclassifies when fitted on the subset. The
+kernels call them to fill their memos with every new multiset of a chunk of
+sampled draws before the draws are read. Each returns a mask of the subsets
 it answered; a subset it leaves unanswered (one whose fit or predict would
 raise, for the stump one whose split thresholds need the exact fallback,
 for the centroid one whose class sums its exact integers do not cover) is
@@ -19,9 +21,10 @@ evaluated by fitting and predicting when it is requested, so it raises
 there as it would without the batch.
 
 The centroid's fit takes each class mean as fsum / count, and fsum is
-correctly rounded. Its batch sums each column's values exactly as int64
-integers on a common binary grid, rounds each sum once to a float, which
-is therefore fsum's value bit for bit, and divides it as fit does.
+correctly rounded. Both its batches sum each column's values exactly as
+int64 integers on a common binary grid (_exact_sums), round each sum once to
+a float, which is therefore fsum's value bit for bit, and divide it as fit
+does.
 """
 
 from __future__ import annotations
@@ -63,12 +66,12 @@ def _majority(ones: int, size: int) -> int:
 def _squared_distances(x: Sequence[float], points: Iterable[Sequence[float]]) -> list[float]:
     """Squared Euclidean distance from x to each point, each summed left to right.
 
-    Each difference is squared as t * t, which is correctly rounded as
-    numpy's ** 2 on the batch path is (a float's t ** 2 goes through libm
-    pow), and the squares are added left to right, as the batch path adds
-    its columns. sum() would not do: from Python 3.12 it adds floats with
-    compensation. Since a - b == -(b - a) exactly, the distance from x to p
-    equals the distance from p to x.
+    Each difference is squared as t * t, as the numpy batches square it (a
+    float's t ** 2 goes through libm pow, which can round differently), and
+    the squares are added left to right, as the batches add their columns.
+    sum() would not do: from Python 3.12 it adds floats with compensation.
+    Since a - b == -(b - a) exactly, the distance from x to p equals the
+    distance from p to x.
     """
     d2 = []
     for p in points:
@@ -76,6 +79,26 @@ def _squared_distances(x: Sequence[float], points: Iterable[Sequence[float]]) ->
         for t in map(operator.sub, x, p):
             s = s + t * t
         d2.append(s)
+    return d2
+
+
+def _distance_table(queries, points):
+    """d2[..., q, p]: the squared distance from queries[..., q, :] to points[..., p, :].
+
+    The numpy form of _squared_distances, with the same rounding: each
+    difference squared as t * t, the columns added left to right (numpy's
+    sum over an axis adds pairwise from 8 terms up). The leading dimensions
+    of queries (..., Q, d) and points (..., P, d) broadcast; a distance past
+    the float range is inf, without a warning.
+    """
+    import numpy as np
+
+    lead = np.broadcast_shapes(queries.shape[:-2], points.shape[:-2])
+    d2 = np.zeros((*lead, queries.shape[-2], points.shape[-2]))
+    with np.errstate(over="ignore"):
+        for j in range(queries.shape[-1]):
+            t = queries[..., :, None, j] - points[..., None, :, j]
+            d2 += t * t
     return d2
 
 
@@ -94,15 +117,18 @@ class Learner:
     """Factory for predictors; fit must be deterministic and symmetric.
 
     A subclass may add loo_errors_batch(x, y, subsets) -> (counts,
-    answered); the kernels call it only when both learners of a comparison
-    have it. x (N, d) float and y (N,) int are a dataset's rows sorted by
-    (x, y), and subsets a (B, m) int array, m >= 2, of ascending positions
-    into them, so each subset lists its rows in that canonical order.
-    Wherever the bool answered[b] is true, counts[b] must be the number of
-    rows of subset b that the learner misclassifies when fitted on the
-    subset's other rows. answered[b] is false wherever such a fit or predict
-    would raise, and may be false wherever else the batch cannot match it
-    exactly.
+    answered) and holdout_errors_batch(x, y, subsets) -> (wrong, answered);
+    the kernels call each only when both learners of a comparison have it.
+    x (N, d) float and y (N,) int are a dataset's rows sorted by (x, y), and
+    subsets a (B, k) int array of ascending positions into them, so each
+    subset lists its rows in that canonical order. Wherever the bool
+    answered[b] is true:
+    - loo_errors_batch (k >= 2): counts[b] is the number of rows of subset b
+      that the learner misclassifies when fitted on the subset's other rows;
+    - holdout_errors_batch (k >= 1): the bool wrong[b, r] says whether the
+      learner fitted on subset b misclassifies row r of x, for every r.
+    answered[b] is false wherever such a fit or predict would raise, and may
+    be false wherever else the batch cannot match it exactly.
     """
 
     def fit(self, learning_set: Sequence[Observation]) -> Predictor:
@@ -133,6 +159,12 @@ class _ConstantLearner(Learner):
 
         return (y[subsets] != self.label).sum(axis=1), np.ones(len(subsets), dtype=bool)
 
+    def holdout_errors_batch(self, x, y, subsets):
+        import numpy as np
+
+        wrong = np.broadcast_to(y != self.label, (len(subsets), len(y)))
+        return wrong, np.ones(len(subsets), dtype=bool)
+
 
 def constant_learner(label: int) -> Learner:
     """Learner that ignores the data and always predicts the given label."""
@@ -145,40 +177,17 @@ class _KnnPredictor(Predictor):
         self.labels = labels
         self.k = k
 
-    def _check_width(self, width: int) -> None:
-        """Raise ValueError unless a query has the fitted points' width."""
-        if width != len(self.points[0]):
-            raise ValueError(
-                f"query has {width} features, the fitted points have {len(self.points[0])}"
-            )
-
     def predict(self, x):
         x = tuple(x)
-        self._check_width(len(x))
+        if len(x) != len(self.points[0]):
+            raise ValueError(
+                f"query has {len(x)} features, the fitted points have {len(self.points[0])}"
+            )
         d2 = _squared_distances(x, self.points)
         _check_finite(max(d2))
         # Stable sort: equal distances resolve to the smaller canonical index.
         order = sorted(range(len(d2)), key=d2.__getitem__)
         return _majority(sum(self.labels[i] for i in order[: self.k]), self.k)
-
-    def predict_batch(self, xs):
-        # Imported here: only sampled mode batches predictions, and complete
-        # mode runs without numpy.
-        import numpy as np
-
-        q = np.asarray(xs, dtype=float)
-        self._check_width(q.shape[1])
-        points = np.array(self.points, dtype=float)
-        # Columns are added left to right, as predict adds them;
-        # numpy's sum over an axis adds pairwise from 8 terms up.
-        d2 = np.zeros((len(q), len(points)))
-        with np.errstate(over="ignore"):
-            for j in range(points.shape[1]):
-                d2 += (q[:, j, None] - points[None, :, j]) ** 2
-        _check_finite(d2.max())
-        order = np.argsort(d2, axis=1, kind="stable")[:, : self.k]
-        votes = np.asarray(self.labels)[order].sum(axis=1)
-        return [_majority(v, self.k) for v in votes.tolist()]
 
 
 class _KnnLearner(Learner):
@@ -198,15 +207,10 @@ class _KnnLearner(Learner):
         import numpy as np
 
         points, labels = x[subsets], y[subsets]
-        count, m = subsets.shape
+        m = subsets.shape[1]
         k = min(self.k, m - 1)
-        # d2[b, i, j]: the squared distance between rows i and j of subset
-        # b, with predict's expression, columns added left to right.
-        d2 = np.zeros((count, m, m))
-        with np.errstate(over="ignore"):
-            for j in range(x.shape[1]):
-                t = points[:, :, None, j] - points[:, None, :, j]
-                d2 += t * t
+        # d2[b, i, j]: the squared distance between rows i and j of subset b.
+        d2 = _distance_table(points, points)
         answered = ~np.isinf(d2).any(axis=(1, 2))
         # A held-out row is no neighbour of itself. The stable sort reads
         # the others by distance, equal distances in canonical order, as
@@ -216,15 +220,30 @@ class _KnnLearner(Learner):
         ones = np.take_along_axis(labels[:, None], nearest, axis=2).sum(axis=2)
         return ((2 * ones > k) != labels).sum(axis=1), answered
 
+    def holdout_errors_batch(self, x, y, subsets):
+        import numpy as np
+
+        k = min(self.k, subsets.shape[1])
+        # d2[b, r, j]: the squared distance from row r of x to point j of
+        # subset b.
+        d2 = _distance_table(x[None], x[subsets])
+        # predict raises wherever some distance is infinite; the stable sort
+        # reads equal distances in canonical order, as predict's does.
+        answered = ~np.isinf(d2).any(axis=(1, 2))
+        nearest = np.argsort(d2, axis=2, kind="stable")[..., :k]
+        ones = np.take_along_axis(y[subsets][:, None], nearest, axis=2).sum(axis=2)
+        return (2 * ones > k) != y, answered
+
 
 def knn_learner(k: int) -> Learner:
     """k-nearest-neighbour majority vote (Euclidean distance).
 
     Distance ties go to the smaller index after canonically sorting the
     learning set; a tied vote predicts 0. k is capped at the learning-set
-    size. predict and predict_batch compute the same squared distances: each
-    difference squared as t * t, the squares added left to right. Both raise
-    ValueError for a query whose width differs from the learning set's.
+    size. predict and both batches compute the same squared distances: each
+    difference squared as t * t, the squares added left to right. predict
+    raises ValueError for a query whose width differs from the learning
+    set's.
     """
     return _KnnLearner(k)
 
@@ -244,8 +263,62 @@ def _column_mean(values: list[float]) -> float:
 # The labels of a centroid predictor's two points, shared by every fit.
 _CENTROID_LABELS = (0, 1)
 
-# The centroid batch splits an exact integer into limbs hi * 2**53 + lo.
+# The centroid batches split an exact integer into limbs hi * 2**53 + lo.
 _LIMB = 53
+
+
+def _exact_sums(points, selection):
+    """Column sums of selected rows of each subset, each rounded once, as fsum rounds it.
+
+    points is a (B, m, d) float array and selection a (B, k, m) int64 array
+    of 0s and 1s: sums[b, i] is the sum of the rows j of points[b] with
+    selection[b, i, j] = 1. Returns (sums, covered), sums a (B, k, d) float
+    array. Where covered[b] is true, every sum of subset b equals math.fsum
+    of the same values, and no partial sum of fsum's overflows. covered[b]
+    is false where that cannot be guaranteed: m >= 1024; some feature's
+    nonzero values span more than 52 - m.bit_length() binary exponents; or
+    a value reaches DBL_MAX / (2m), where a partial sum of fsum's could
+    overflow.
+    """
+    import numpy as np
+
+    count, m, d = points.shape
+    if m >= 1024:
+        # m low limbs could sum past 2**63.
+        return np.zeros((count, selection.shape[1], d)), np.zeros(count, dtype=bool)
+    # 1. Exact integers. A value is M * 2**(E - 53) with |M| < 2**53. On
+    # its (subset, feature) column's grid 2**(e - 53), e the smallest E
+    # of the column's nonzero values, it is M * 2**s with s = E - e,
+    # split into limbs hi * 2**53 + lo, 0 <= lo < 2**53.
+    fraction, exponent = np.frexp(points)
+    mantissa = np.ldexp(fraction, _LIMB).astype(np.int64)
+    nonzero = mantissa != 0
+    grid = np.where(nonzero, exponent, 1 << 20).min(axis=1, keepdims=True)
+    shift = np.where(nonzero, exponent - grid, 0)
+    # Up to this shift, |hi| <= 2**s and m < 2**m.bit_length() keep any
+    # sum of m high limbs, carry included, below 2**52 + m, so it
+    # converts to a float exactly.
+    limit = 52 - m.bit_length()
+    covered = shift.max(axis=(1, 2), initial=0) <= limit
+    covered &= np.abs(points).max(axis=(1, 2), initial=0.0) < sys.float_info.max / (2 * m)
+    shift = np.minimum(shift, limit).astype(np.int64)
+    limbs = np.stack(
+        [
+            mantissa >> (_LIMB - shift),
+            (mantissa & ((1 << (_LIMB - shift)) - 1)) << shift,
+        ]
+    )
+    # 2. Exact sums, limb by limb: (2, B, k, d).
+    sums = selection @ limbs
+    # 3. Rounding. With the carry normalised, hi * 2**53 + lo adds two
+    # exact floats, so it is the exact sum rounded once to 53 bits, and
+    # ldexp scales that exactly: to fsum's value. A sum below the
+    # normal range is a multiple of 2**-1074 under 2**52 of them, so
+    # there it is exact throughout and not rounded a second time.
+    sums[0] += sums[1] >> _LIMB
+    sums[1] &= (1 << _LIMB) - 1
+    with np.errstate(all="ignore"):
+        return np.ldexp(sums[0] * 2.0**_LIMB + sums[1], grid - _LIMB), covered
 
 
 class _CentroidLearner(Learner):
@@ -268,63 +341,27 @@ class _CentroidLearner(Learner):
         """Learner.loo_errors_batch in one numpy pass over the (B, m, d) points.
 
         Every class sum a held-out fit takes, whole or without the held-out
-        row, is computed exactly in int64 limbs and rounded once, so it is
-        fsum's value and each mean, distance and prediction is fit's and
-        predict's. A subset is left unanswered, to be refitted, where that
-        cannot be guaranteed: m >= 1024; some feature's nonzero values span
-        more than 52 - m.bit_length() binary exponents; a value reaches
-        DBL_MAX / (2m), where a partial sum of fsum's could overflow; or a
-        fit that predicts has an infinite squared distance, where predict
-        raises OverflowError.
+        row, comes from _exact_sums, so it is fsum's value and each mean,
+        distance and prediction is fit's and predict's. A subset is left
+        unanswered, to be refitted, where _exact_sums does not cover it, or
+        where a fit that predicts has an infinite squared distance, where
+        predict raises OverflowError.
         """
         import numpy as np
 
         points, labels = x[subsets], y[subsets]
         count, m = subsets.shape
-        if m >= 1024:
-            # m low limbs could sum past 2**63.
-            return np.zeros(count, dtype=np.int64), np.zeros(count, dtype=bool)
-        # 1. Exact integers. A value is M * 2**(E - 53) with |M| < 2**53. On
-        # its (subset, feature) column's grid 2**(e - 53), e the smallest E
-        # of the column's nonzero values, it is M * 2**s with s = E - e,
-        # split into limbs hi * 2**53 + lo, 0 <= lo < 2**53.
-        fraction, exponent = np.frexp(points)
-        mantissa = np.ldexp(fraction, _LIMB).astype(np.int64)
-        nonzero = mantissa != 0
-        grid = np.where(nonzero, exponent, 1 << 20).min(axis=1, keepdims=True)
-        shift = np.where(nonzero, exponent - grid, 0)
-        # Up to this shift, |hi| <= 2**s and m < 2**m.bit_length() keep any
-        # sum of m high limbs, carry included, below 2**52 + m, so it
-        # converts to a float exactly.
-        limit = 52 - m.bit_length()
-        answered = shift.max(axis=(1, 2), initial=0) <= limit
-        # Below this, no partial sum of fsum's can overflow.
-        answered &= np.abs(points).max(axis=(1, 2), initial=0.0) < sys.float_info.max / (2 * m)
-        shift = np.minimum(shift, limit).astype(np.int64)
-        limbs = np.stack(
-            [
-                mantissa >> (_LIMB - shift),
-                (mantissa & ((1 << (_LIMB - shift)) - 1)) << shift,
-            ]
-        )
-        # 2. Exact sums: the class totals (B, 2, d), then each held-out
-        # row's own class without it (B, m, d), its class total minus its
-        # own limbs.
         rows = np.arange(count)[:, None]
         classes = (labels[:, None] == np.arange(2)[:, None]).astype(np.int64)
-        totals = classes @ limbs
-        sums = np.concatenate([totals, totals[:, rows, labels] - limbs], axis=2)
-        # 3. Rounding. With the carry normalised, hi * 2**53 + lo adds two
-        # exact floats, so it is the exact sum rounded once to 53 bits, and
-        # ldexp scales that exactly: to fsum's value. A sum below the
-        # normal range is a multiple of 2**-1074 under 2**52 of them, so
-        # there it is exact throughout and not rounded a second time.
-        sums[0] += sums[1] >> _LIMB
-        sums[1] &= (1 << _LIMB) - 1
+        # The class totals (B, 2, d), then each held-out row's own class
+        # without it (B, m, d).
+        selection = np.concatenate(
+            [classes, classes[rows, labels] - np.eye(m, dtype=np.int64)], axis=1
+        )
+        sums, answered = _exact_sums(points, selection)
         sizes = classes.sum(axis=2)
         own = sizes[rows, labels]
         with np.errstate(all="ignore"):
-            sums = np.ldexp(sums[0] * 2.0**_LIMB + sums[1], grid - _LIMB)
             # The means as _column_mean divides them. Held-out row i's fit
             # on the others has its own class's mean without it and the
             # other class's whole mean.
@@ -337,13 +374,7 @@ class _CentroidLearner(Learner):
                 ],
                 axis=2,
             )
-            # predict's squared distances to (mean 0, mean 1), t * t added
-            # left to right: d2 (B, m, 2).
-            t = points[:, :, None] - centres
-            squares = t * t
-            d2 = np.zeros((count, m, 2))
-            for j in range(x.shape[1]):
-                d2 += squares[..., j]
+            d2 = _distance_table(points[:, :, None], centres)[:, :, 0]
         # Rows whose fit sees both classes predict the nearer mean, an exact
         # tie going to 0; a fit that sees one class predicts it, which is
         # wrong only for a row alone in its class.
@@ -351,6 +382,31 @@ class _CentroidLearner(Learner):
         answered &= ~(both & np.isinf(d2).any(axis=2)).any(axis=1)
         wrong = np.where(both, (d2[..., 1] < d2[..., 0]) != labels, own == 1)
         return wrong.sum(axis=1), answered
+
+    def holdout_errors_batch(self, x, y, subsets):
+        """Learner.holdout_errors_batch in one numpy pass over the (B, N, 2, d) differences.
+
+        The class sums come from _exact_sums, so each mean is fit's and each
+        prediction predict's. A subset is left unanswered, to be refitted,
+        where _exact_sums does not cover it, or where its fit sees both
+        classes and some squared distance is infinite, where predict raises
+        OverflowError.
+        """
+        import numpy as np
+
+        labels = y[subsets]
+        classes = (labels[:, None] == np.arange(2)[:, None]).astype(np.int64)
+        sums, answered = _exact_sums(x[subsets], classes)
+        sizes = classes.sum(axis=2)
+        both = sizes.all(axis=1)
+        with np.errstate(all="ignore"):
+            means = sums / np.maximum(sizes, 1)[..., None]
+            d2 = _distance_table(x[None], means)
+        answered &= ~(both & np.isinf(d2).any(axis=(1, 2)))
+        # A fit on both classes predicts the nearer mean, an exact tie going
+        # to 0; a fit on one class predicts that class.
+        predicted = np.where(both[:, None], d2[..., 1] < d2[..., 0], sizes[:, 1:] > 0)
+        return predicted != y, answered
 
 
 def centroid_learner() -> Learner:
@@ -433,6 +489,35 @@ def _best_stump(
     )
 
 
+def _stump_candidates(values, labels, ones):
+    """_best_stump's candidate splits, for many sorted learning columns at once.
+
+    values (B, ..., d, size) holds columns of size learning rows, each
+    sorted ascending, labels the rows' labels in the same order, and ones
+    (B, ...) the number of rows labelled 1. Candidate k of a column puts
+    its first k + 1 rows left, as the split at the midpoint of rows k and
+    k + 1 does wherever that midpoint lies in [lo, hi). Returns (threshold,
+    ones_le, errors, refused): each candidate's midpoint, label-1 rows on
+    the left and error count, size + 1 where the two rows are equal and
+    there is no split, and refused[b], whether some midpoint of b's columns
+    lies outside [lo, hi), where fit finds the split by binary search.
+    """
+    import numpy as np
+
+    size = values.shape[-1]
+    lo, hi = values[..., :-1], values[..., 1:]
+    with np.errstate(over="ignore"):
+        threshold = (lo + hi) / 2.0
+    split = lo != hi
+    refused = (split & ((threshold < lo) | (threshold >= hi))).reshape(len(values), -1).any(axis=1)
+    n_le = np.arange(1, size)
+    ones_le = np.cumsum(labels[..., :-1], axis=-1)
+    ones_gt = ones[..., None, None] - ones_le
+    # Each side predicts its majority, so it misclassifies its minority.
+    errors = np.minimum(ones_le, n_le - ones_le) + np.minimum(ones_gt, size - n_le - ones_gt)
+    return threshold, ones_le, np.where(split, errors, size + 1), refused
+
+
 class _StumpLearner(Learner):
     def fit(self, learning_set):
         if not learning_set:
@@ -469,27 +554,50 @@ class _StumpLearner(Learner):
         values = values[keep].reshape(learning)
         sorted_labels = np.broadcast_to(labels[rows, order][:, None], shape)
         sorted_labels = sorted_labels[keep].reshape(learning)
-        # _best_stump's candidates: the rows x <= threshold are the first
-        # n_le of the learning column, wherever the midpoint lies in [lo, hi).
-        lo, hi = values[..., :-1], values[..., 1:]
-        with np.errstate(over="ignore"):
-            threshold = (lo + hi) / 2.0
-        split = lo != hi
-        answered = ~(split & ((threshold < lo) | (threshold >= hi))).any(axis=(1, 2, 3))
-        n_le = np.arange(1, size)
-        ones_le = np.cumsum(sorted_labels[..., :-1], axis=3)
-        ones_gt = ones[:, :, None, None] - ones_le
-        errors = np.minimum(ones_le, n_le - ones_le) + np.minimum(ones_gt, size - n_le - ones_gt)
-        errors = np.where(split, errors, m).reshape(count, m, -1)
+        threshold, ones_le, errors, refused = _stump_candidates(values, sorted_labels, ones)
+        errors = errors.reshape(count, m, -1)
         # Each candidate's prediction for its held-out row; the first with
         # the fewest errors, in (feature, threshold) order, is the fit.
+        n_le = np.arange(1, size)
+        ones_gt = ones[:, :, None, None] - ones_le
         guess = np.where(
             points[..., None] <= threshold, 2 * ones_le > n_le, 2 * ones_gt > size - n_le
         )
         best = errors.argmin(axis=2)[..., None]
         chosen = np.take_along_axis(guess.reshape(count, m, -1), best, axis=2)[..., 0]
         predicted = np.where(errors.min(axis=2) < m, chosen, majority)
-        return (predicted != labels).sum(axis=1), answered
+        return (predicted != labels).sum(axis=1), ~refused
+
+    def holdout_errors_batch(self, x, y, subsets):
+        import numpy as np
+
+        labels = y[subsets]
+        count, size = subsets.shape
+        total_ones = labels.sum(axis=1)
+        majority = (2 * total_ones > size)[:, None]
+        if size == 1 or not x.shape[1]:
+            # One learning row, or no feature: no split exists, so the fit
+            # predicts the majority of its rows.
+            return majority != y, np.ones(count, dtype=bool)
+        # Each subset's columns sorted once: (count, d, size).
+        columns = x[subsets].transpose(0, 2, 1)
+        order = np.argsort(columns, axis=2, kind="stable")
+        values = np.take_along_axis(columns, order, axis=2)
+        sorted_labels = labels[np.arange(count)[:, None, None], order]
+        threshold, ones_le, errors, refused = _stump_candidates(values, sorted_labels, total_ones)
+        errors = errors.reshape(count, -1)
+        # The first candidate with the fewest errors, in (feature, threshold)
+        # order, is the fit; there is none where every feature is constant.
+        best = errors.argmin(axis=1)
+        rows = np.arange(count)
+        feature, position = np.divmod(best, size - 1)
+        ones = ones_le[rows, feature, position]
+        label_le = 2 * ones > position + 1
+        label_gt = 2 * (total_ones - ones) > size - position - 1
+        goes_left = x[:, feature].T <= threshold[rows, feature, position][:, None]
+        predicted = np.where(goes_left, label_le[:, None], label_gt[:, None])
+        predicted = np.where(errors[rows, best][:, None] <= size, predicted, majority)
+        return predicted != y, ~refused
 
 
 def stump_learner() -> Learner:

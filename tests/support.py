@@ -3,9 +3,9 @@
 The K-fold design and the tail bound behind --digits are reference objects
 for the acceptance criteria; sample_dataset draws replicate datasets from an
 oracle distribution; squared_point_variance is a deliberately biased
-variance estimator that the self-checks must catch. Refitting hides a
-built-in learner's loo_errors_batch, so the kernels fit and predict it for
-every key.
+variance estimator that the self-checks must catch. Refitting hides both of
+a built-in learner's batches, loo_errors_batch and holdout_errors_batch, so
+the kernels fit and predict it for every phi0 key and every learning set.
 """
 
 from __future__ import annotations
@@ -93,7 +93,11 @@ def squared_point_variance(ev: KernelEvaluator, config: EstimatorConfig) -> Vari
 
 
 class Refitting:
-    """A learner's fit alone, without loo_errors_batch: the kernels fit and predict it."""
+    """A learner's fit alone, without loo_errors_batch or holdout_errors_batch.
+
+    The kernels fit and predict it wherever the batches would answer: for
+    phi0 through phi, and for phi_complement_total through predict_batch.
+    """
 
     def __init__(self, inner):
         self.inner = inner

@@ -1,6 +1,8 @@
 import itertools
 import json
+import os
 import re
+import sys
 import time
 
 import pytest
@@ -16,6 +18,10 @@ from ucompare.cli import (
 from ucompare.designs import hypergeometric_weights
 
 from support import squared_point_variance
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
+
+from workloads import WORKLOADS, write_dataset  # noqa: E402
 
 
 def write_csv(path, labels, features=None):
@@ -114,6 +120,18 @@ class TestCompareHappyPath:
         ]
         assert provenance["phi0_evaluations"] == 6
         assert provenance["pair_fits"] == 4
+
+    @pytest.mark.parametrize("name", ["sampled-small-g", "sampled-large-g"])
+    def test_benchmark_runs_fit_nothing(self, tmp_path, capsys, name):
+        # On the benchmark's seed-0 data the batches answer every learning
+        # set of the point estimate and every phi0 key, so the run fits no
+        # learner. A change that drops a batch, or leaves its keys to
+        # fitting, shows here as pair_fits > 0.
+        workload = WORKLOADS[name]
+        data = str(tmp_path / f"{name}.csv")
+        write_dataset(workload, 0, data)
+        assert main(workload.argv(data)) in (EXIT_OK, EXIT_DEGENERATE)
+        assert json.loads(capsys.readouterr().out)["provenance"]["pair_fits"] == 0
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_complete_run_on_repeated_rows_misses_once_per_request(

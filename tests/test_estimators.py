@@ -410,14 +410,14 @@ class TestSecondMomentEstimates:
                 windows |= {multiset(t[:m]), multiset(t[m - c :])}
         delta_learning = {multiset(t) for t in draws(g, _STREAM_DELTA)}
         window_learning = {w[:i] + w[i + 1 :] for w in windows for i in range(m)}
-        # When the batch answers every new key, the built-in learners fit
-        # only delta's learning sets. Keys left to phi, which are all keys
-        # when no chunk reaches _MIN_BATCH or the learners have no batch,
-        # also fit each window's learning parts.
+        # When the batches answer every new key, the built-in learners fit
+        # nothing. Keys left to phi_complement_total and phi, which are all
+        # keys when no chunk reaches _MIN_BATCH or the learners have no
+        # batch, fit delta's learning sets and each window's learning parts.
         built_in = (knn_learner(3), stump_learner())
         refitting = tuple(map(Refitting, built_in))
         for learners, smallest, learning in [
-            (built_in, 1, delta_learning),
+            (built_in, 1, set()),
             (built_in, 10**9, delta_learning | window_learning),
             (refitting, 1, delta_learning | window_learning),
         ]:
@@ -426,12 +426,13 @@ class TestSecondMomentEstimates:
             estimate_delta(ev, config)
             estimate_variance(ev, config)
             assert 0 < ev.phi0_evaluations == len(windows) < 3 * config.draws
+            assert len(ev._totals) == len(delta_learning)
             assert ev.pair_fits == len(learning)
 
     def test_sampled_centroid_run_refits_no_window(self, monkeypatch):
-        # On Gaussian data the centroid's batch, like kNN's, answers every
-        # new key, so the run fits only delta's learning sets: a key the
-        # batch left to refitting would fit that key's learning parts too.
+        # On Gaussian data the centroid's batches, like kNN's, answer every
+        # new key, so the run fits nothing: a key a batch left to refitting
+        # would fit its learning set, or its learning parts.
         n, g = 40, 6
         data = gaussian_rows(n)
         config = EstimatorConfig(draws=300, seed=9, mode=INCOMPLETE)
@@ -442,7 +443,8 @@ class TestSecondMomentEstimates:
         stream = make_stream(config.seed, _STREAM_DELTA)
         draws = sample_ordered_subsets(n, g, config.draws, stream).tolist()
         assert ev.phi0_evaluations > config.draws
-        assert ev.pair_fits == len({tuple(sorted(t)) for t in draws})
+        assert len(ev._totals) == len({tuple(sorted(t)) for t in draws})
+        assert ev.pair_fits == 0
 
     def test_disjoint_window_complete_value(self):
         # The three pairings of {1,2,3,4} into two disjoint pairs give

@@ -485,6 +485,27 @@ class TestPhi0Keys:
         assert ev.phi0_evaluations == len(set(expected))
         assert set(ev) == set(expected) | set(map(tuple, windows))
 
+    def test_learning_keys_name_the_learning_multisets(self):
+        # Row 6 repeats row 1, row 7 row 2 and row 8 row 4.
+        data = eight_rows_of_five_atoms()
+        ev = KernelEvaluator(ComparisonKernel(knn_learner(1), stump_learner(), g=3), data)
+        draws = [[6, 1, 3], [7, 2, 5], [8, 4, 6], [2, 3, 4], [3, 6, 1]]
+        keys = ev.learning_keys(np.array(draws, dtype=np.int32))
+        assert keys == [reference_key(data, draw) for draw in draws]
+        # Four distinct keys reach _MIN_BATCH, so the batch stored each
+        # one's total, which is the total of the draw itself.
+        assert set(ev._totals) == set(keys)
+        refit = KernelEvaluator(ComparisonKernel(Refitting(knn_learner(1)), stump_learner(), g=3), data)
+        for key, draw in zip(keys, draws):
+            assert ev.phi_complement_total(key) == refit.phi_complement_total(tuple(draw))
+        assert ev.pair_fits == 0
+        with pytest.raises(ValueError, match="need windows of 3"):
+            ev.learning_keys(np.array([[1, 2]], dtype=np.int32))
+        with pytest.raises(ValueError, match="need 3 distinct"):
+            ev.learning_keys(np.array([[1, 1, 2]], dtype=np.int32))
+        with pytest.raises(IndexError):
+            ev.learning_keys(np.array([[0, 1, 2]], dtype=np.int32))
+
 
 def eight_rows_of_five_atoms() -> Dataset:
     """Rows 1-5 are distinct; row 6 repeats row 1, row 7 row 2, row 8 row 4."""
@@ -541,7 +562,10 @@ class TestMemoBound:
         assert len(fitted) == 3
         ev.phi((3, 5), 1)  # a fourth multiset empties the memo first
         assert len(fitted) == 4
+        # The total has its own memo, which still holds it.
         assert ev.phi_complement_total((1, 2)) == total
+        assert len(fitted) == 4
+        ev.phi((6, 7), 3)
         assert len(fitted) == 5
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -622,7 +646,7 @@ def tied_grid_rows() -> Dataset:
 
 
 class TestBatchPath:
-    """phi0_keys pre-fills the memo in batches; every result is as without it."""
+    """phi0_keys and learning_keys pre-fill the memos in batches; every result is as without them."""
 
     @pytest.mark.parametrize("pair", sorted(LEARNER_PAIRS))
     def test_overflow_raises_at_the_same_request(self, pair):
@@ -645,6 +669,24 @@ class TestBatchPath:
         refit = run(ComparisonKernel(*map(Refitting, LEARNER_PAIRS[pair]), g=2))
         assert (requests, message) == refit[:2]
 
+    @pytest.mark.parametrize("pair", sorted(LEARNER_PAIRS))
+    def test_delta_overflow_raises_at_the_same_draw(self, pair):
+        def run(kernel):
+            ev = KernelEvaluator(kernel, rows_with_a_huge_pair())
+            requests, total = [], ev.phi_complement_total
+
+            def logged(learn_indices):
+                requests.append(learn_indices)
+                return total(learn_indices)
+
+            ev.phi_complement_total = logged
+            with pytest.raises(OverflowError) as raised:
+                estimate_delta(ev, EstimatorConfig(draws=300, seed=2, mode=INCOMPLETE))
+            return requests, str(raised.value)
+
+        refit = run(ComparisonKernel(*map(Refitting, LEARNER_PAIRS[pair]), g=2))
+        assert run(ComparisonKernel(*LEARNER_PAIRS[pair], g=2)) == refit
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("pair", sorted(LEARNER_PAIRS))
     @pytest.mark.parametrize("rows", ["repeats", "distinct", "ties", "no-features"])
@@ -660,7 +702,7 @@ class TestBatchPath:
 
         def estimate():
             ev = KernelEvaluator(kernel, data)
-            return estimate_variance(ev, config), ev.phi0_evaluations
+            return estimate_delta(ev, config), estimate_variance(ev, config), ev.phi0_evaluations
 
         expected = estimate()
         for elements, smallest in [(1, 1), (10**9, 1), (1, 10**9), (10**9, 10**9)]:
@@ -671,4 +713,4 @@ class TestBatchPath:
         # lost are evaluated again when requested.
         monkeypatch.setattr(kernels, "MEMO_SIZE", 3)
         monkeypatch.setattr(kernels, "_MIN_BATCH", 1)
-        assert estimate()[0] == expected[0]
+        assert estimate()[:2] == expected[:2]

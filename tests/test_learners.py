@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ucompare.dataset import Dataset, Observation
@@ -18,6 +18,8 @@ from ucompare.learners import (
     parse_learner,
     stump_learner,
 )
+
+from support import Refitting
 
 
 def obs(*pairs):
@@ -32,6 +34,33 @@ ALL_LEARNERS = [
     constant_learner(0),
     constant_learner(1),
 ]
+
+
+def holdout_labels(learner, cases):
+    """The labels holdout_errors_batch gives each case's queries, or None for a case it leaves.
+
+    cases is a list of (learning rows, query feature tuples), every learning
+    set of one size. All their rows, the queries labelled 0, make one
+    dataset, sorted by (x, y) as the kernels sort it, and each case's
+    learning rows are one subset.
+    """
+    rows, subsets, queries = [], [], []
+    for learning, xs in cases:
+        subsets.append(range(len(rows), len(rows) + len(learning)))
+        rows += learning
+        queries.append(list(range(len(rows), len(rows) + len(xs))))
+        rows += [Observation(tuple(q), 0) for q in xs]
+    order = sorted(range(len(rows)), key=lambda i: (rows[i].x, rows[i].y))
+    place = np.empty(len(rows), dtype=int)
+    place[order] = np.arange(len(rows))
+    x = np.array([rows[i].x for i in order], dtype=float)
+    y = np.array([rows[i].y for i in order])
+    wrong, answered = learner.holdout_errors_batch(x, y, np.sort(place[np.array(subsets)], axis=1))
+    # A query is labelled 0, so it is misclassified exactly where the label is 1.
+    return [
+        wrong[b, place[q]].astype(int).tolist() if ok else None
+        for b, (q, ok) in enumerate(zip(queries, answered.tolist()))
+    ]
 
 
 def test_loss_values():
@@ -71,9 +100,10 @@ class TestKnn:
     def test_batch_agrees_with_single(self):
         learning = obs((0.0, 0), (0.25, 1), (2.0, 1), (3.0, 0))
         pred = knn_learner(3).fit(learning)
-        xs = [(v,) for v in np.linspace(-1.0, 4.0, 23)]
+        xs = [(float(v),) for v in np.linspace(-1.0, 4.0, 23)]
         for size in (1, 7, 23):
-            assert pred.predict_batch(xs[:size]) == [pred.predict(x) for x in xs[:size]]
+            expected = [pred.predict(x) for x in xs[:size]]
+            assert holdout_labels(knn_learner(3), [(learning, xs[:size])]) == [expected]
 
     def test_bad_k(self):
         with pytest.raises(ValueError):
@@ -114,10 +144,12 @@ class TestCentroid:
         assert pred.predict((1.0,)) == 0
 
     def test_batch_agrees_with_single(self):
-        pred = centroid_learner().fit(obs((0.0, 0), (1.0, 0), (4.0, 1)))
-        xs = [(v,) for v in np.linspace(-2.0, 6.0, 17)]
+        learning = obs((0.0, 0), (1.0, 0), (4.0, 1))
+        pred = centroid_learner().fit(learning)
+        xs = [(float(v),) for v in np.linspace(-2.0, 6.0, 17)]
         for size in (1, 7, 17):
-            assert pred.predict_batch(xs[:size]) == [pred.predict(x) for x in xs[:size]]
+            expected = [pred.predict(x) for x in xs[:size]]
+            assert holdout_labels(centroid_learner(), [(learning, xs[:size])]) == [expected]
 
 
 def left_to_right_squared_distance(x, p):
@@ -202,26 +234,31 @@ class TestDistanceOverflow:
             learner.fit(learning).predict(query)
 
     def test_predict_batch_raises(self, learner, case):
-        # Eight query rows, so the numpy path runs; warnings are errors, so
-        # the numpy overflow must not leak out as a RuntimeWarning either.
+        # The hold-out batch leaves the learning set to fitting and
+        # predicting, where predict_batch raises. Warnings are errors, so
+        # the batch's numpy overflow must not leak out as a RuntimeWarning.
         learning, query = OVERFLOWING_DISTANCES[case]
         xs = [tuple(0.0 for _ in query)] * 7 + [query]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(OverflowError):
-                learner.fit(learning).predict_batch(xs)
+            assert holdout_labels(learner, [(learning, xs)]) == [None]
+        with pytest.raises(OverflowError):
+            learner.fit(learning).predict_batch(xs)
 
 
 class TestScalarMatchesBatchOnNearTies:
-    """predict and predict_batch square each difference with the same rounding."""
+    """predict and holdout_errors_batch square each difference with the same rounding."""
 
     def test_knn_one_ulp_square(self):
         # d ** 2 (libm pow) of d = 0.0 - Q[0] lands one unit in the last
         # place below d * d, which made Q nearer on the scalar path.
         p = (-1.4359553057260184, -0.17304309345480484)
         q = (-0.8513113416860458, -1.1692649621671793)
-        pred = knn_learner(1).fit(obs((p, 1), (q, 0)))
-        assert pred.predict((0.0, 0.0)) == pred.predict_batch([(0.0, 0.0)])[0] == 1
+        learning = obs((p, 1), (q, 0))
+        pred = knn_learner(1).fit(learning)
+        assert [[pred.predict((0.0, 0.0))]] == holdout_labels(
+            knn_learner(1), [(learning, [(0.0, 0.0)])]
+        ) == [[1]]
 
     def test_squares_added_left_to_right(self):
         # From P the squares 1e16, 1, 1, 1 add left to right to 1e16, but to
@@ -230,9 +267,11 @@ class TestScalarMatchesBatchOnNearTies:
         # makes P, with label 0, the nearer point.
         p = (1e8, 1.0, 1.0, 1.0)
         q = (math.nextafter(1e8, math.inf), 0.0, 0.0, 0.0)
-        pred = knn_learner(1).fit(obs((p, 0), (q, 1)))
+        learning = obs((p, 0), (q, 1))
         origin = (0.0, 0.0, 0.0, 0.0)
-        assert pred.predict(origin) == pred.predict_batch([origin])[0] == 0
+        assert [[knn_learner(1).fit(learning).predict(origin)]] == holdout_labels(
+            knn_learner(1), [(learning, [origin])]
+        ) == [[0]]
 
     @pytest.mark.parametrize("d", [2, 8, 12])
     @pytest.mark.parametrize("learner", [knn_learner(1), centroid_learner()], ids=["knn1", "centroid"])
@@ -241,16 +280,20 @@ class TestScalarMatchesBatchOnNearTies:
         # most one unit in the last place per coordinate, so the two squared
         # distances agree to the last bits. One row per class makes the
         # centroids P and Q themselves. From d = 8 up, numpy's sum over an
-        # axis adds pairwise, so the batch path must add left to right.
+        # axis adds pairwise, so the batch path must add left to right. The
+        # cases go to the batch 100 at a time.
         rng = np.random.default_rng([20261018, d])
-        for _ in range(10_000):
-            x, p = rng.normal(size=d), rng.normal(size=d)
-            direction = rng.normal(size=d)
-            q = x + np.linalg.norm(p - x) / np.linalg.norm(direction) * direction
-            q = np.nextafter(q, q + rng.integers(-1, 2, size=d))
-            x, p, q = (tuple(map(float, v)) for v in (x, p, q))
-            pred = learner.fit(obs((p, 1), (q, 0)))
-            assert pred.predict(x) == pred.predict_batch([x])[0], (x, p, q)
+        for _ in range(100):
+            cases = []
+            for _ in range(100):
+                x, p = rng.normal(size=d), rng.normal(size=d)
+                direction = rng.normal(size=d)
+                q = x + np.linalg.norm(p - x) / np.linalg.norm(direction) * direction
+                q = np.nextafter(q, q + rng.integers(-1, 2, size=d))
+                x, p, q = (tuple(map(float, v)) for v in (x, p, q))
+                cases.append((obs((p, 1), (q, 0)), [x]))
+            expected = [[learner.fit(learning).predict(xs[0])] for learning, xs in cases]
+            assert holdout_labels(learner, cases) == expected
 
 
 class TestStump:
@@ -620,14 +663,13 @@ def test_parse_learner_identifiers():
             parse_learner(bad)
 
 
-def stump_midpoint_leaves_its_pair(rows):
-    """Whether some held-out stump fit has a midpoint outside [lo, hi)."""
-    for i in range(len(rows)):
-        for column in zip(*[obs.x for obs in rows[:i] + rows[i + 1 :]]):
-            values = sorted(column)
-            pairs = zip(values, values[1:])
-            if any(lo != hi and not lo <= (lo + hi) / 2.0 < hi for lo, hi in pairs):
-                return True
+def stump_midpoint_leaves_its_pair(learning):
+    """Whether a stump fit on learning has a candidate midpoint outside [lo, hi)."""
+    for column in zip(*[obs.x for obs in learning]):
+        values = sorted(column)
+        pairs = zip(values, values[1:])
+        if any(lo != hi and not lo <= (lo + hi) / 2.0 < hi for lo, hi in pairs):
+            return True
     return False
 
 
@@ -669,9 +711,51 @@ def check_batch(learner, rows, subsets):
         if ok:
             assert count == expected
         elif isinstance(learner, type(stump_learner())):
-            assert expected is OverflowError or stump_midpoint_leaves_its_pair(chosen)
+            assert expected is OverflowError or any(
+                stump_midpoint_leaves_its_pair(chosen[:i] + chosen[i + 1 :])
+                for i in range(len(chosen))
+            )
         elif isinstance(learner, type(centroid_learner())):
             assert expected is OverflowError or centroid_sum_leaves_the_batch(chosen)
+        else:
+            assert expected is OverflowError
+    return answered.tolist()
+
+
+def check_holdout(learner, rows, subsets):
+    """holdout_errors_batch on learning subsets of rows, a list of (B, g) position lists.
+
+    The rows are passed sorted by (x, y), and every subset's positions
+    ascending, as the kernels pass them; 1 <= g < len(rows). Where a subset
+    is answered, each row's mark must say whether learner.fit(subset)
+    misclassifies it, and the complement total the marks give against
+    constant_learner(0) must equal that of Refitting's fits and predicts. A
+    subset may go unanswered only where fitting and predicting raises
+    OverflowError, for the stump where a midpoint leaves its pair, and for
+    the centroid where its exact sums do not cover the subset. Returns the
+    answered mask.
+    """
+    rows = sorted(rows, key=lambda obs: (obs.x, obs.y))
+    x = np.array([obs.x for obs in rows], dtype=float)
+    y = np.array([obs.y for obs in rows])
+    wrong, answered = learner.holdout_errors_batch(x, y, np.array(subsets))
+    assert wrong.shape == (len(subsets), len(rows))
+    assert answered.shape == (len(subsets),)
+    kernel = ComparisonKernel(Refitting(learner), Refitting(constant_learner(0)), g=len(subsets[0]))
+    refit = KernelEvaluator(kernel, Dataset(tuple(rows)))
+    for subset, marks, ok in zip(subsets, wrong.tolist(), answered.tolist()):
+        learning = [rows[i] for i in subset]
+        expected = outcome(lambda: [learner.fit(learning).predict(row.x) != row.y for row in rows])
+        if ok:
+            assert marks == expected
+            # constant_learner(0) misclassifies exactly the label-1 rows.
+            phi = [mark - row.y for mark, row in zip(marks, rows)]
+            total = sum(phi) - sum(phi[i] for i in subset)
+            assert total == refit.phi_complement_total(tuple(i + 1 for i in subset))
+        elif isinstance(learner, type(stump_learner())):
+            assert expected is OverflowError or stump_midpoint_leaves_its_pair(learning)
+        elif isinstance(learner, type(centroid_learner())):
+            assert expected is OverflowError or centroid_sum_leaves_the_batch(learning)
         else:
             assert expected is OverflowError
     return answered.tolist()
@@ -695,6 +779,55 @@ class TestLeaveOneOutBatch:
         subset = st.permutations(range(len(rows))).map(lambda p: sorted(p[:m]))
         subsets = draw.draw(st.lists(subset, min_size=1, max_size=4), label="subsets")
         check_batch(learner, rows, subsets)
+
+
+@pytest.mark.parametrize("learner", ALL_LEARNERS)
+class TestHoldoutBatch:
+    """holdout_errors_batch marks the rows fitting and predicting get wrong, or leaves the subset."""
+
+    @pytest.mark.parametrize("rows", LOO_CASES)
+    def test_explicit_cases(self, learner, rows):
+        # Every learning subset of one row up to all rows but one, one batch
+        # per size.
+        for g in range(1, len(rows)):
+            check_holdout(learner, rows, list(itertools.combinations(range(len(rows)), g)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(draw=st.data())
+    def test_equals_fitting(self, learner, draw):
+        rows = draw.draw(loo_rows(), label="rows")
+        g = draw.draw(st.integers(1, len(rows) - 1), label="g")
+        subset = st.permutations(range(len(rows))).map(lambda p: sorted(p[:g]))
+        subsets = draw.draw(st.lists(subset, min_size=1, max_size=4), label="subsets")
+        check_holdout(learner, rows, subsets)
+
+
+@st.composite
+def centroid_ties(draw):
+    """Rows whose query lies exactly midway between the two class means.
+
+    The near class has 2 to 8 rows whose mean, fsum / count, is a; the far
+    class has one row, at b = a + 2t, and the query lies at a + t, with t a
+    power of two times ulp(a). Both squared distances are then t * t, so
+    predict's exact tie goes to 0. A mean one ulp off either way breaks the
+    tie, and for one of the two labellings that flips the prediction to 1.
+    Returns (learning rows, query row); the query carries the far class's
+    label, so a fit on every other row sees the same two classes.
+    """
+    # Tenths, and floats from 2**-10 up in magnitude, which the centroid
+    # batches' exact sums cover.
+    floats = st.floats(2.0**-10, 10.0) | st.floats(-10.0, -(2.0**-10))
+    values = draw(
+        st.lists(st.integers(-100, 100).map(lambda i: i / 10) | floats, min_size=2, max_size=8),
+        label="values",
+    )
+    near = draw(st.integers(0, 1), label="near label")
+    a = math.fsum(sorted(values)) / len(values)
+    t = math.ulp(a) * 2.0 ** draw(st.integers(0, 30)) * draw(st.sampled_from([-1.0, 1.0]))
+    query, b = a + t, a + 2 * t
+    assume(query - a == t == b - query)
+    learning = [Observation((v,), near) for v in values] + [Observation((b,), 1 - near)]
+    return learning, Observation((query,), 1 - near)
 
 
 class TestCentroidBatch:
@@ -726,10 +859,23 @@ class TestCentroidBatch:
         answered = check_batch(centroid_learner(), rows, subsets)
         assert answered == [not held for held in holding]
 
+    @settings(max_examples=300, deadline=None)
+    @given(case=centroid_ties())
+    def test_class_means_are_exact_at_ties(self, case):
+        # Both batches must compute the near class's mean exactly as fit
+        # does: the query's held-out fit, and the fit on the learning rows.
+        learning, query = case
+        rows = sorted(learning + [query], key=lambda obs: (obs.x, obs.y))
+        assert check_batch(centroid_learner(), rows, [list(range(len(rows)))]) == [True]
+        subset = [i for i, row in enumerate(rows) if row is not query]
+        assert check_holdout(centroid_learner(), rows, [subset]) == [True]
+
     def test_large_subsets_are_left_to_refitting(self):
         # From 1,024 rows the low limbs' sum could pass 2**63.
         x = np.arange(1024.0)[:, None]
         y = np.arange(1024) % 2
         for m in (1023, 1024):
             _, answered = centroid_learner().loo_errors_batch(x, y, np.arange(m)[None])
+            assert answered.tolist() == [m < 1024]
+            _, answered = centroid_learner().holdout_errors_batch(x, y, np.arange(m)[None])
             assert answered.tolist() == [m < 1024]
