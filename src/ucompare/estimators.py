@@ -49,8 +49,9 @@ _STREAM_KAPPA = 2
 
 NONDEGENERACY_TOL = 1e-8
 
-# Sampled draws converted to Python objects (index lists, phi0 keys) at a
-# time; this bounds the objects alive at once.
+# Sampled draws converted to Python objects (index lists, memo keys) at a
+# time; this bounds the objects alive at once. A product statistic keys
+# both windows of its chunk in one call, so up to 2 * _CHUNK_DRAWS keys.
 _CHUNK_DRAWS = 2**10
 
 
@@ -225,17 +226,21 @@ def _estimate_product(
             return math.fsum(map(operator.mul, values, values)) / pairs
 
         return complete_u_statistic(pair_mean, n, degree)
+    import numpy as np
+
     # Each draw's first window is its first m rows and its second the last
     # m, sharing the c middle rows; at full overlap they coincide. The
-    # windows go to product as keys, converted a bounded chunk at a time.
+    # windows go to product as keys, converted a bounded chunk at a time:
+    # both windows of a chunk in one phi0_keys call, first windows first.
     draws = sample_ordered_subsets(n, degree, config.draws, make_stream(config.seed, stream_key))
     keys, product = evaluator.phi0_keys, evaluator.product
     products: list[float] = []
     for chunk in _chunks(draws):
-        windows = [keys(chunk[:, :m])]
-        if c < m:
-            windows.append(keys(chunk[:, m - c :]))
-        products += map(product, *windows)
+        if c == m:
+            products += map(product, keys(chunk))
+        else:
+            both = keys(np.concatenate((chunk[:, :m], chunk[:, m - c :])))
+            products += map(product, both[: len(chunk)], both[len(chunk) :])
     return math.fsum(products) / config.draws
 
 

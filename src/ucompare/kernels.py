@@ -11,16 +11,17 @@ the variance estimate. Equal row multisets share one memo entry, under a key
 that is itself a valid request. The evaluator is itself a dict, the phi0
 memo, and phi0 is its lookup: a request equal to a key is answered in C, and
 any other request runs Python, which sums phi over the key's rotations.
-phi0_keys turns arrays of windows into keys in bulk, so the sampled
-estimators request keys and a repeated multiset costs one lookup. When both
-learners have loo_errors_batch, phi0_keys also pre-fills the memo: it counts
-the LOO errors of the chunk's distinct new keys in numpy batches, so the
-requests that follow are answered in C. learning_keys does the same for the
-sampled point estimate's learning sets: phi_complement_total, the sum of phi
-over every row outside a learning set, is read from a second memo, which
-holdout_errors_batch pre-fills when both learners have it. The scalar
-references on observations, which the evaluator is checked against, live in
-ucompare.oracle.
+phi0_keys turns arrays of windows into keys in bulk, tuples of Python ints,
+so the sampled estimators request keys and a repeated multiset costs one
+lookup; a product statistic keys both windows of a chunk of draws in one
+call. When both learners have loo_errors_batch, phi0_keys also pre-fills the
+memo: it counts the LOO errors of the call's distinct new keys in numpy
+batches, so the requests that follow are answered in C. learning_keys does
+the same for the sampled point estimate's learning sets:
+phi_complement_total, the sum of phi over every row outside a learning set,
+is read from a second memo, which holdout_errors_batch pre-fills when both
+learners have it. The scalar references on observations, which the
+evaluator is checked against, live in ucompare.oracle.
 """
 
 from __future__ import annotations
@@ -47,17 +48,17 @@ if TYPE_CHECKING:
 # a 2-core Xeon host (about 5.0 million lookups per second).
 MEMO_SIZE = 2**15
 
-# phi0_keys leaves a chunk's new keys to __missing__, which refits through
+# phi0_keys leaves a call's new keys to __missing__, which refits through
 # phi, when there are fewer than this, and learning_keys leaves them to
 # phi_complement_total, which fits and predicts. On the benchmark's seed-0
-# sampled-duplicates data (m = 6, d = 3, 2-core Xeon host), where most
-# phi0_keys calls miss 0-7 keys, the batch calls of both learners take about
-# 190 us for 1 key and 275 us for 4 (minimum of 200), and a refitted key
-# about 125 us, so the two meet at about 2 keys. But a whole run's
-# evaluation time (_prefill plus __missing__, medians of 41 alternating
-# runs) is flat from 3 to 6, 62-65 ms, and 66-69 ms at 2: refitted keys
-# share their fits through _learned, and _prefill's own work is not in the
-# call times.
+# sampled-duplicates data (m = 6, d = 3, 2-core Xeon host) the batch calls
+# of both learners take about 190 us for 1 key and 275 us for 4 (minimum of
+# 200), and a refitted key about 125 us, so the two meet at about 2 keys.
+# The whole run is flat in between: with both windows of a chunk of draws
+# keyed in one call, 1, 2 and 4 give its variance stage 57, 43 and 30 batch
+# calls and 0, 36 and 97 pair fits, and its wall_s medians of 0.420, 0.417
+# and 0.415 s (8 alternating 10-second benchmark runs each), since refitted
+# keys share their fits through _learned.
 _MIN_BATCH = 4
 
 # Keys per batch call are capped so that the size of the largest array a
@@ -153,8 +154,9 @@ class KernelEvaluator(dict):
     are tuples; a list is unhashable and raises TypeError. Complete mode
     requests exactly the C(n, m) subsets, each as an ascending tuple, so
     each enters __missing__ once and every repeat is answered in C. The
-    sampled estimators turn their windows into keys with phi0_keys, so
-    there every repeated multiset is answered in C.
+    sampled estimators turn their windows into keys with phi0_keys, one
+    call per chunk of draws for both windows, so there every repeated
+    multiset is answered in C.
 
     Two plain int counters record the work done: phi0_evaluations counts
     the symmetrized values computed and pair_fits the fits of the learner
@@ -302,12 +304,13 @@ class KernelEvaluator(dict):
             # by_class lists every class's rows in index order, class after
             # class, the classes in canonical (x, y) order; place[i] is where
             # row i sits in it, and class_start[p] where the class of the
-            # row at p starts. x and y hold the rows in by_class's order,
-            # for the learners' batches.
+            # row at p starts; these three are int32, half the bytes of
+            # int64 in every gather and sort of a chunk's windows. x and y
+            # hold the rows in by_class's order, for the learners' batches.
             members, rows = self._members, self._rows
             ids = sorted(members, key=lambda k: (rows[k].x, rows[k].y))
-            by_class = np.array([i for k in ids for i in members[k]])
-            place = np.empty(n + 1, dtype=np.int64)
+            by_class = np.array([i for k in ids for i in members[k]], dtype=np.int32)
+            place = np.empty(n + 1, dtype=np.int32)
             place[by_class] = np.arange(n)
             class_start = place[[k for k in ids for _ in members[k]]]
             x = np.array([rows[i].x for i in by_class], dtype=float)
@@ -315,10 +318,8 @@ class KernelEvaluator(dict):
             self._key_tables = by_class, place, class_start, x, y
         by_class, place, class_start, _, _ = self._key_tables
         # Sorted places group each window's rows by class; a repeated index
-        # shows as two equal neighbours. A stable sort of these short rows
-        # touches less new numpy code, so less resident memory, than the
-        # default one.
-        ordered = np.sort(place[windows], axis=1, kind="stable")
+        # shows as two equal neighbours.
+        ordered = np.sort(place[windows], axis=1)
         if (ordered[:, 1:] == ordered[:, :-1]).any():
             raise ValueError(f"need {width} distinct indices in every window")
         # The j-th member of a class in a window (from 0) becomes the class's
@@ -326,9 +327,10 @@ class KernelEvaluator(dict):
         # running maximum of (class start - column) is class start - f,
         # since every earlier class ends before this one starts; adding the
         # column back gives class start + (column - f).
-        columns = np.arange(width)
+        columns = np.arange(width, dtype=np.int32)
         canonical = np.maximum.accumulate(class_start[ordered] - columns, axis=1) + columns
-        return list(map(tuple, np.sort(by_class[canonical], axis=1, kind="stable").tolist()))
+        # Tuples zipped from the columns' lists: no list per row is built.
+        return list(zip(*np.sort(by_class[canonical], axis=1).T.tolist()))
 
     def _prefill(self, memo: dict, keys: list[tuple[int, ...]], per_key: int, evaluate) -> None:
         """Store in memo the values of the distinct keys it lacks, in batches.

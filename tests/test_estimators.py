@@ -382,10 +382,25 @@ class TestSecondMomentEstimates:
             products = [phi0(tuple(t[:m])) * phi0(tuple(t[m - c :])) for t in draws]
             return math.fsum(products) / config.draws
 
+        # Both windows of a chunk are keyed in one phi0_keys call, so each
+        # statistic makes one call per chunk: of both windows' rows, or of
+        # the one window's at full overlap.
         ev = KernelEvaluator(kernel, data)
-        for c in range(1, m + 1):
-            assert estimate_kappa_c(ev, c, config) == reference(c, (_STREAM_KAPPA, c))
-        assert estimate_theta2(ev, config) == reference(0, _STREAM_THETA2)
+        shapes, phi0_keys = [], ev.phi0_keys
+
+        def counted(windows):
+            shapes.append(windows.shape)
+            return phi0_keys(windows)
+
+        ev.phi0_keys = counted
+        for c in range(m + 1):
+            shapes.clear()
+            if c:
+                assert estimate_kappa_c(ev, c, config) == reference(c, (_STREAM_KAPPA, c))
+            else:
+                assert estimate_theta2(ev, config) == reference(0, _STREAM_THETA2)
+            windows = 1 if c == m else 2
+            assert shapes == [(windows * _CHUNK_DRAWS, m), (windows * 300, m)]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("g", [1, 2, 3])

@@ -459,6 +459,16 @@ def reference_key(data: Dataset, window) -> tuple[int, ...]:
     return tuple(sorted(rows_of[k][ids[:j].count(k)] for j, k in enumerate(ids)))
 
 
+def assert_python_int_tuples(keys):
+    """Every key is a tuple of Python ints.
+
+    numpy integers compare and hash equal to ints, so == alone would pass
+    keys that make every memo lookup slower.
+    """
+    assert all(type(key) is tuple for key in keys)
+    assert all(type(i) is int for key in keys for i in key)
+
+
 class TestPhi0Keys:
     @settings(max_examples=150, deadline=None)
     @given(draw=st.data())
@@ -475,7 +485,9 @@ class TestPhi0Keys:
         kernel = ComparisonKernel(constant_learner(0), constant_learner(1), g=m - 1)
         ev = KernelEvaluator(kernel, data)
         expected = [reference_key(data, w) for w in windows]
-        assert ev.phi0_keys(np.array(windows, dtype=np.int32)) == expected
+        keys = ev.phi0_keys(np.array(windows, dtype=np.int32))
+        assert keys == expected
+        assert_python_int_tuples(keys)
         # A key is its own key, and the scalar path evaluates exactly these
         # keys; it also stores each window under itself, so a repeat is
         # answered by the lookup.
@@ -492,6 +504,7 @@ class TestPhi0Keys:
         draws = [[6, 1, 3], [7, 2, 5], [8, 4, 6], [2, 3, 4], [3, 6, 1]]
         keys = ev.learning_keys(np.array(draws, dtype=np.int32))
         assert keys == [reference_key(data, draw) for draw in draws]
+        assert_python_int_tuples(keys)
         # Four distinct keys reach _MIN_BATCH, so the batch stored each
         # one's total, which is the total of the draw itself.
         assert set(ev._totals) == set(keys)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from ucompare.dataset import Dataset, Observation
 from ucompare.kernels import ComparisonKernel, KernelEvaluator
 from ucompare.learners import (
+    _exact_sums,
     centroid_learner,
     constant_learner,
     knn_learner,
@@ -879,3 +880,68 @@ class TestCentroidBatch:
             assert answered.tolist() == [m < 1024]
             _, answered = centroid_learner().holdout_errors_batch(x, y, np.arange(m)[None])
             assert answered.tolist() == [m < 1024]
+
+
+@st.composite
+def exact_sum_cases(draw):
+    """(points, selection) for _exact_sums: B subsets of m rows of d features.
+
+    Each feature value is zero or a signed 53-bit-or-shorter mantissa
+    scaled into one example-wide window of binary exponents, which may sit
+    among the subnormals, near 1 or near the float limit, and may be
+    narrower or wider than the exact sums cover.
+    """
+    count = draw(st.integers(1, 3), label="B")
+    m = draw(st.integers(1, 24), label="m")
+    d = draw(st.integers(1, 3), label="d")
+    k = draw(st.integers(1, 4), label="k")
+    lowest = draw(st.sampled_from([-1080, -1060, -1030, -200, -60, -1, 0, 40, 960, 1010]))
+    # Spans at the edge of the cover (52 - m.bit_length(), 47 to 51 here)
+    # are drawn often, and so are exponents at both ends of the window.
+    span = draw(st.one_of(st.integers(0, 70), st.integers(45, 52)), label="span")
+    highest = min(lowest + span, 1024)
+    mantissa = st.one_of(
+        st.integers(1, 8), st.integers(2**52, 2**53 - 1), st.integers(1, 2**53 - 1)
+    )
+    value = st.one_of(
+        st.just(0.0),
+        st.builds(
+            lambda sign, top, exponent: sign * math.ldexp(top, exponent - top.bit_length()),
+            st.sampled_from([-1, 1]),
+            mantissa,
+            st.one_of(st.sampled_from([lowest, highest]), st.integers(lowest, highest)),
+        ),
+    )
+    points = draw(st.lists(value, min_size=count * m * d, max_size=count * m * d))
+    selection = draw(st.lists(st.integers(0, 1), min_size=count * k * m, max_size=count * k * m))
+    return (
+        np.array(points, dtype=float).reshape(count, m, d),
+        np.array(selection, dtype=np.int64).reshape(count, k, m),
+    )
+
+
+class TestExactSums:
+    @settings(max_examples=400, deadline=None)
+    @given(case=exact_sum_cases())
+    def test_covered_sums_equal_fsum(self, case):
+        points, selection = case
+        count, m, d = points.shape
+        sums, covered = _exact_sums(points, selection)
+        for b in range(count):
+            # The documented cover: every feature's nonzero values within
+            # 52 - m.bit_length() binary exponents, every value below
+            # DBL_MAX / (2m).
+            spans = []
+            for f in range(d):
+                exponents = [math.frexp(v)[1] for v in points[b, :, f].tolist() if v]
+                spans.append(max(exponents) - min(exponents) if exponents else 0)
+            largest = np.abs(points[b]).max()
+            assert covered[b] == (
+                max(spans) <= 52 - m.bit_length() and largest < sys.float_info.max / (2 * m)
+            )
+            if not covered[b]:
+                continue
+            for i, row in enumerate(selection[b].tolist()):
+                picked = points[b][np.array(row, dtype=bool)]
+                for f in range(d):
+                    assert sums[b, i, f] == math.fsum(picked[:, f].tolist())
