@@ -79,8 +79,8 @@ def sample_ordered_subsets(n: int, k: int, count: int, rng: np.random.Generator)
     shuffle. The stream is consumed one position at a time across the whole
     batch, which needs k generator calls instead of count * k; a fixed
     stream state reproduces the batch exactly. The shuffles run on chunks of
-    at most _POOL_CHUNK_ELEMENTS pool entries, one row per draw, one column
-    swap per position.
+    at most _POOL_CHUNK_ELEMENTS pool entries, held flat, n entries per draw
+    from offset n * row, with one swap per draw and position.
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
@@ -94,14 +94,14 @@ def sample_ordered_subsets(n: int, k: int, count: int, rng: np.random.Generator)
     draws = np.empty((count, k), dtype=np.int32)
     for start in range(0, count, chunk_rows):
         stop = min(start + chunk_rows, count)
-        pool = np.tile(base, (stop - start, 1))
-        rows = np.arange(stop - start)
+        pool = np.tile(base, stop - start)
+        offsets = np.arange(0, pool.size, n)
         for i, picks in enumerate(columns):
-            j = picks[start:stop]
-            picked = pool[rows, j]
-            pool[rows, j] = pool[:, i]
-            pool[:, i] = picked
-        draws[start:stop] = pool[:, :k]
+            here, there = offsets + i, offsets + picks[start:stop]
+            picked = pool[there]
+            pool[there] = pool[here]
+            pool[here] = picked
+        draws[start:stop] = pool.reshape(-1, n)[:, :k]
     return draws
 
 

@@ -48,19 +48,6 @@ if TYPE_CHECKING:
 # a 2-core Xeon host (about 5.0 million lookups per second).
 MEMO_SIZE = 2**15
 
-# phi0_keys leaves a call's new keys to __missing__, which refits through
-# phi, when there are fewer than this, and learning_keys leaves them to
-# phi_complement_total, which fits and predicts. On the benchmark's seed-0
-# sampled-duplicates data (m = 6, d = 3, 2-core Xeon host) the batch calls
-# of both learners take about 190 us for 1 key and 275 us for 4 (minimum of
-# 200), and a refitted key about 125 us, so the two meet at about 2 keys.
-# The whole run is flat in between: with both windows of a chunk of draws
-# keyed in one call, 1, 2 and 4 give its variance stage 57, 43 and 30 batch
-# calls and 0, 36 and 97 pair fits, and its wall_s medians of 0.420, 0.417
-# and 0.415 s (8 alternating 10-second benchmark runs each), since refitted
-# keys share their fits through _learned.
-_MIN_BATCH = 4
-
 # Keys per batch call are capped so that the size of the largest array a
 # built-in learner's batch builds stays under this: keys * m * m * d for
 # loo_errors_batch, about 300 keys at m = 6, d = 3, and keys * n * g * d
@@ -339,16 +326,15 @@ class KernelEvaluator(dict):
         ascending, so each lists its rows in canonical order, and returns
         the arrays (values, answered). A batch holds at most
         _BATCH_ELEMENTS // (per_key * d) keys, d the number of features or
-        1 if there are none. Fewer than _MIN_BATCH missing keys
-        are left to the memo's own miss path, as is every key evaluate does
-        not answer, so a key that raises raises when it is requested, as it
-        would without the batch. The memo is emptied first if the new keys
-        would not fit in it.
+        1 if there are none. Every key evaluate does not answer is left to
+        the memo's own miss path, so a key that raises raises when it is
+        requested, as it would without the batch. The memo is emptied first
+        if the new keys would not fit in it.
         """
         import numpy as np
 
         missing = list(dict.fromkeys(filterfalse(memo.__contains__, keys)))
-        if len(missing) < _MIN_BATCH:
+        if not missing:
             return
         if len(memo) + len(missing) > MEMO_SIZE:
             memo.clear()

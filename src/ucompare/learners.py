@@ -15,10 +15,10 @@ dataset that the learner misclassifies when fitted on the subset. The
 kernels call them to fill their memos with every new multiset of a chunk of
 sampled draws before the draws are read. Each returns a mask of the subsets
 it answered; a subset it leaves unanswered (one whose fit or predict would
-raise, for the stump one whose split thresholds need the exact fallback,
-for the centroid one whose class sums its exact integers do not cover) is
-evaluated by fitting and predicting when it is requested, so it raises
-there as it would without the batch.
+raise, for the centroid also one whose class sums its exact integers do
+not cover) is evaluated by fitting and predicting when it is requested, so
+it raises there as it would without the batch. The stump's batches answer
+every subset, including those whose split midpoints round up or overflow.
 
 The centroid's fit takes each class mean as fsum / count, and fsum is
 correctly rounded. Both its batches sum each column's values exactly as
@@ -128,7 +128,8 @@ class Learner:
     - holdout_errors_batch (k >= 1): the bool wrong[b, r] says whether the
       learner fitted on subset b misclassifies row r of x, for every r.
     answered[b] is false wherever such a fit or predict would raise, and may
-    be false wherever else the batch cannot match it exactly.
+    be false wherever else the batch cannot match it exactly; of the
+    built-in learners, only the centroid's batches leave such subsets.
     """
 
     def fit(self, learning_set: Sequence[Observation]) -> Predictor:
@@ -494,13 +495,12 @@ def _stump_candidates(values, labels, ones):
 
     values (B, ..., d, size) holds columns of size learning rows, each
     sorted ascending, labels the rows' labels in the same order, and ones
-    (B, ...) the number of rows labelled 1. Candidate k of a column puts
-    its first k + 1 rows left, as the split at the midpoint of rows k and
-    k + 1 does wherever that midpoint lies in [lo, hi). Returns (threshold,
-    ones_le, errors, refused): each candidate's midpoint, label-1 rows on
-    the left and error count, size + 1 where the two rows are equal and
-    there is no split, and refused[b], whether some midpoint of b's columns
-    lies outside [lo, hi), where fit finds the split by binary search.
+    (B, ...) the number of rows labelled 1. Candidate k of a column splits
+    at the midpoint of rows k and k + 1, and puts the rows x <= midpoint
+    left: its first k + 1 rows wherever the midpoint lies in [lo, hi).
+    Returns (threshold, n_le, ones_le, errors): each candidate's midpoint,
+    rows and label-1 rows on the left, and error count, size + 1 where the
+    two rows are equal and there is no split.
     """
     import numpy as np
 
@@ -509,13 +509,21 @@ def _stump_candidates(values, labels, ones):
     with np.errstate(over="ignore"):
         threshold = (lo + hi) / 2.0
     split = lo != hi
-    refused = (split & ((threshold < lo) | (threshold >= hi))).reshape(len(values), -1).any(axis=1)
-    n_le = np.arange(1, size)
     ones_le = np.cumsum(labels[..., :-1], axis=-1)
+    n_le = np.broadcast_to(np.arange(1, size), ones_le.shape)
+    outside = split & ((threshold < lo) | (threshold >= hi))
+    if outside.any():
+        # Where the midpoint rounded up to hi or overflowed to +-inf, count
+        # the rows x <= threshold of its column, as fit's binary search
+        # finds them.
+        at, n_le = np.nonzero(outside), n_le.copy()
+        left = values[at[:-1]] <= threshold[at][:, None]
+        n_le[at] = left.sum(axis=1)
+        ones_le[at] = (left * labels[at[:-1]]).sum(axis=1)
     ones_gt = ones[..., None, None] - ones_le
     # Each side predicts its majority, so it misclassifies its minority.
     errors = np.minimum(ones_le, n_le - ones_le) + np.minimum(ones_gt, size - n_le - ones_gt)
-    return threshold, ones_le, np.where(split, errors, size + 1), refused
+    return threshold, n_le, ones_le, np.where(split, errors, size + 1)
 
 
 class _StumpLearner(Learner):
@@ -554,11 +562,10 @@ class _StumpLearner(Learner):
         values = values[keep].reshape(learning)
         sorted_labels = np.broadcast_to(labels[rows, order][:, None], shape)
         sorted_labels = sorted_labels[keep].reshape(learning)
-        threshold, ones_le, errors, refused = _stump_candidates(values, sorted_labels, ones)
+        threshold, n_le, ones_le, errors = _stump_candidates(values, sorted_labels, ones)
         errors = errors.reshape(count, m, -1)
         # Each candidate's prediction for its held-out row; the first with
         # the fewest errors, in (feature, threshold) order, is the fit.
-        n_le = np.arange(1, size)
         ones_gt = ones[:, :, None, None] - ones_le
         guess = np.where(
             points[..., None] <= threshold, 2 * ones_le > n_le, 2 * ones_gt > size - n_le
@@ -566,7 +573,7 @@ class _StumpLearner(Learner):
         best = errors.argmin(axis=2)[..., None]
         chosen = np.take_along_axis(guess.reshape(count, m, -1), best, axis=2)[..., 0]
         predicted = np.where(errors.min(axis=2) < m, chosen, majority)
-        return (predicted != labels).sum(axis=1), ~refused
+        return (predicted != labels).sum(axis=1), np.ones(count, dtype=bool)
 
     def holdout_errors_batch(self, x, y, subsets):
         import numpy as np
@@ -584,20 +591,21 @@ class _StumpLearner(Learner):
         order = np.argsort(columns, axis=2, kind="stable")
         values = np.take_along_axis(columns, order, axis=2)
         sorted_labels = labels[np.arange(count)[:, None, None], order]
-        threshold, ones_le, errors, refused = _stump_candidates(values, sorted_labels, total_ones)
+        threshold, n_le, ones_le, errors = _stump_candidates(values, sorted_labels, total_ones)
         errors = errors.reshape(count, -1)
         # The first candidate with the fewest errors, in (feature, threshold)
         # order, is the fit; there is none where every feature is constant.
         best = errors.argmin(axis=1)
         rows = np.arange(count)
         feature, position = np.divmod(best, size - 1)
+        left = n_le[rows, feature, position]
         ones = ones_le[rows, feature, position]
-        label_le = 2 * ones > position + 1
-        label_gt = 2 * (total_ones - ones) > size - position - 1
+        label_le = 2 * ones > left
+        label_gt = 2 * (total_ones - ones) > size - left
         goes_left = x[:, feature].T <= threshold[rows, feature, position][:, None]
         predicted = np.where(goes_left, label_le[:, None], label_gt[:, None])
         predicted = np.where(errors[rows, best][:, None] <= size, predicted, majority)
-        return predicted != y, ~refused
+        return predicted != y, np.ones(count, dtype=bool)
 
 
 def stump_learner() -> Learner:

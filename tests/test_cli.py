@@ -121,7 +121,9 @@ class TestCompareHappyPath:
         assert provenance["phi0_evaluations"] == 6
         assert provenance["pair_fits"] == 4
 
-    @pytest.mark.parametrize("name", ["sampled-small-g", "sampled-large-g"])
+    @pytest.mark.parametrize(
+        "name", ["sampled-small-g", "sampled-large-g", "sampled-duplicates"]
+    )
     def test_benchmark_runs_fit_nothing(self, tmp_path, capsys, name):
         # On the benchmark's seed-0 data the batches answer every learning
         # set of the point estimate and every phi0 key, so the run fits no

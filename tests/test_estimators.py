@@ -5,7 +5,6 @@ import random
 
 import pytest
 
-from ucompare import kernels
 from ucompare.dataset import Dataset
 from ucompare.designs import (
     BudgetExceededError,
@@ -404,7 +403,7 @@ class TestSecondMomentEstimates:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("g", [1, 2, 3])
-    def test_sampled_run_evaluates_each_distinct_multiset_once(self, g, monkeypatch):
+    def test_sampled_run_evaluates_each_distinct_multiset_once(self, g):
         # Brute force: the distinct value multisets among every requested
         # window, and among every learning set the run fits on.
         n, m = 20, g + 1
@@ -425,18 +424,16 @@ class TestSecondMomentEstimates:
                 windows |= {multiset(t[:m]), multiset(t[m - c :])}
         delta_learning = {multiset(t) for t in draws(g, _STREAM_DELTA)}
         window_learning = {w[:i] + w[i + 1 :] for w in windows for i in range(m)}
-        # When the batches answer every new key, the built-in learners fit
-        # nothing. Keys left to phi_complement_total and phi, which are all
-        # keys when no chunk reaches _MIN_BATCH or the learners have no
-        # batch, fit delta's learning sets and each window's learning parts.
+        # The batches answer every new key, so the built-in learners fit
+        # nothing. Learners without batches leave every key to
+        # phi_complement_total and phi, which fit delta's learning sets and
+        # each window's learning parts.
         built_in = (knn_learner(3), stump_learner())
         refitting = tuple(map(Refitting, built_in))
-        for learners, smallest, learning in [
-            (built_in, 1, set()),
-            (built_in, 10**9, delta_learning | window_learning),
-            (refitting, 1, delta_learning | window_learning),
+        for learners, learning in [
+            (built_in, set()),
+            (refitting, delta_learning | window_learning),
         ]:
-            monkeypatch.setattr(kernels, "_MIN_BATCH", smallest)
             ev = KernelEvaluator(ComparisonKernel(*learners, g=g), data)
             estimate_delta(ev, config)
             estimate_variance(ev, config)
@@ -444,14 +441,13 @@ class TestSecondMomentEstimates:
             assert len(ev._totals) == len(delta_learning)
             assert ev.pair_fits == len(learning)
 
-    def test_sampled_centroid_run_refits_no_window(self, monkeypatch):
+    def test_sampled_centroid_run_refits_no_window(self):
         # On Gaussian data the centroid's batches, like kNN's, answer every
         # new key, so the run fits nothing: a key a batch left to refitting
         # would fit its learning set, or its learning parts.
         n, g = 40, 6
         data = gaussian_rows(n)
         config = EstimatorConfig(draws=300, seed=9, mode=INCOMPLETE)
-        monkeypatch.setattr(kernels, "_MIN_BATCH", 1)
         ev = KernelEvaluator(ComparisonKernel(knn_learner(3), centroid_learner(), g=g), data)
         estimate_delta(ev, config)
         estimate_variance(ev, config)

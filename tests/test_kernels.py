@@ -505,8 +505,8 @@ class TestPhi0Keys:
         keys = ev.learning_keys(np.array(draws, dtype=np.int32))
         assert keys == [reference_key(data, draw) for draw in draws]
         assert_python_int_tuples(keys)
-        # Four distinct keys reach _MIN_BATCH, so the batch stored each
-        # one's total, which is the total of the draw itself.
+        # The batch stored each distinct key's total, which is the total of
+        # the draw itself.
         assert set(ev._totals) == set(keys)
         refit = KernelEvaluator(ComparisonKernel(Refitting(knn_learner(1)), stump_learner(), g=3), data)
         for key, draw in zip(keys, draws):
@@ -713,17 +713,17 @@ class TestBatchPath:
         kernel = ComparisonKernel(*LEARNER_PAIRS[pair], g=2)
         config = EstimatorConfig(draws=300, seed=4, mode=INCOMPLETE)
 
-        def estimate():
+        def estimate(kernel=kernel):
             ev = KernelEvaluator(kernel, data)
             return estimate_delta(ev, config), estimate_variance(ev, config), ev.phi0_evaluations
 
         expected = estimate()
-        for elements, smallest in [(1, 1), (10**9, 1), (1, 10**9), (10**9, 10**9)]:
+        for elements in (1, 10**9):
             monkeypatch.setattr(kernels, "_BATCH_ELEMENTS", elements)
-            monkeypatch.setattr(kernels, "_MIN_BATCH", smallest)
             assert estimate() == expected
+        # Without batches, every key is fitted and predicted.
+        assert estimate(ComparisonKernel(*map(Refitting, LEARNER_PAIRS[pair]), g=2)) == expected
         # A memo of three entries is emptied on every batch, and the keys it
         # lost are evaluated again when requested.
         monkeypatch.setattr(kernels, "MEMO_SIZE", 3)
-        monkeypatch.setattr(kernels, "_MIN_BATCH", 1)
         assert estimate()[:2] == expected[:2]

@@ -664,16 +664,6 @@ def test_parse_learner_identifiers():
             parse_learner(bad)
 
 
-def stump_midpoint_leaves_its_pair(learning):
-    """Whether a stump fit on learning has a candidate midpoint outside [lo, hi)."""
-    for column in zip(*[obs.x for obs in learning]):
-        values = sorted(column)
-        pairs = zip(values, values[1:])
-        if any(lo != hi and not lo <= (lo + hi) / 2.0 < hi for lo, hi in pairs):
-            return True
-    return False
-
-
 def centroid_sum_leaves_the_batch(rows):
     """Whether the centroid batch's exact integer sums may not cover rows.
 
@@ -697,8 +687,8 @@ def check_batch(learner, rows, subsets):
     The rows are passed sorted by (x, y), and every subset's positions
     ascending, as the kernels pass them. An answered count must equal
     refit_errors, m fits and predicts; a subset may go unanswered only where
-    refitting raises OverflowError, for the stump where a midpoint leaves its
-    pair, and for the centroid where its exact sums do not cover the subset.
+    refitting raises OverflowError, and for the centroid where its exact
+    sums do not cover the subset.
     Returns the answered mask.
     """
     rows = sorted(rows, key=lambda obs: (obs.x, obs.y))
@@ -711,11 +701,6 @@ def check_batch(learner, rows, subsets):
         expected = outcome(lambda: refit_errors(learner, chosen))
         if ok:
             assert count == expected
-        elif isinstance(learner, type(stump_learner())):
-            assert expected is OverflowError or any(
-                stump_midpoint_leaves_its_pair(chosen[:i] + chosen[i + 1 :])
-                for i in range(len(chosen))
-            )
         elif isinstance(learner, type(centroid_learner())):
             assert expected is OverflowError or centroid_sum_leaves_the_batch(chosen)
         else:
@@ -732,9 +717,8 @@ def check_holdout(learner, rows, subsets):
     misclassifies it, and the complement total the marks give against
     constant_learner(0) must equal that of Refitting's fits and predicts. A
     subset may go unanswered only where fitting and predicting raises
-    OverflowError, for the stump where a midpoint leaves its pair, and for
-    the centroid where its exact sums do not cover the subset. Returns the
-    answered mask.
+    OverflowError, and for the centroid where its exact sums do not cover
+    the subset. Returns the answered mask.
     """
     rows = sorted(rows, key=lambda obs: (obs.x, obs.y))
     x = np.array([obs.x for obs in rows], dtype=float)
@@ -753,8 +737,6 @@ def check_holdout(learner, rows, subsets):
             phi = [mark - row.y for mark, row in zip(marks, rows)]
             total = sum(phi) - sum(phi[i] for i in subset)
             assert total == refit.phi_complement_total(tuple(i + 1 for i in subset))
-        elif isinstance(learner, type(stump_learner())):
-            assert expected is OverflowError or stump_midpoint_leaves_its_pair(learning)
         elif isinstance(learner, type(centroid_learner())):
             assert expected is OverflowError or centroid_sum_leaves_the_batch(learning)
         else:
@@ -801,6 +783,29 @@ class TestHoldoutBatch:
         subset = st.permutations(range(len(rows))).map(lambda p: sorted(p[:g]))
         subsets = draw.draw(st.lists(subset, min_size=1, max_size=4), label="subsets")
         check_holdout(learner, rows, subsets)
+
+
+# Stump split midpoints outside [lo, hi): 1, 1 + 1ulp and 1 + 2ulp, whose
+# midpoints round up to hi, the +-1.7e308 case of LOO_CASES, and near-limit
+# values of one sign, whose midpoints overflow to +inf or -inf.
+STUMP_MIDPOINT_CASES = [
+    LOO_CASES[3],
+    LOO_CASES[6],
+    obs((HUGE, 0), (1.6e308, 1), (-HUGE, 1), (-1.6e308, 0), (0.0, 1), (1.0, 0)),
+]
+
+
+@pytest.mark.parametrize("rows", STUMP_MIDPOINT_CASES)
+def test_stump_batches_answer_every_subset(rows):
+    # Both batches answer every subset of every size, with the counts and
+    # marks that refitting gives.
+    n = len(rows)
+    for k in range(1, n + 1):
+        subsets = list(itertools.combinations(range(n), k))
+        if k >= 2:
+            assert all(check_batch(stump_learner(), rows, subsets))
+        if k < n:
+            assert all(check_holdout(stump_learner(), rows, subsets))
 
 
 @st.composite
