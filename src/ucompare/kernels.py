@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import filterfalse
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .dataset import Dataset
 from .learners import Learner, misclassification_loss
@@ -37,9 +37,11 @@ if TYPE_CHECKING:
     import numpy as np
 
 # Entries a memo holds before it is emptied. Every reuse the benchmark
-# workloads and the tests show fits in under 2,000 keys (sampled-duplicates:
-# at most 1,716 phi0 keys and 766 learning multisets; complete-enum: 680
-# phi0 keys). Complete mode stores at most the C(n, m) subsets: each key,
+# workloads and the tests show fits in under 2,000 keys (seed 0,
+# sampled-duplicates: 1,611 phi0 keys and 701 learning sets; complete-enum:
+# 680 phi0 keys and 136 fitted learning multisets); the largest memo, 3,900
+# phi0 keys on sampled-small-g, is of keys that almost never repeat.
+# Complete mode stores at most the C(n, m) subsets: each key,
 # and each request that is not its own key. A complete run that finishes
 # within about 5 minutes (n = 22, g = 4) needs at most C(22, 5) = 26,334
 # phi0 entries; the cheapest complete run with more entries that passes the
@@ -107,29 +109,26 @@ class KernelEvaluator(dict):
 
     Rows with the same (x, y) form a class, whose id is its first 1-based
     row. Determinism guarantees that equal multisets of rows give predictors
-    with identical outputs, so results are memoized per multiset, in two
-    memos. The evaluator is itself a dict, the phi0 memo: it maps the key of
-    a size-m multiset to its symmetrized value. A multiset in which class k
+    with identical outputs, so results are memoized per multiset, in three
+    memos under one key, which _key builds. A multiset in which class k
     appears r times has as key the first r rows of class k, in index order,
     for every class in it, the whole tuple sorted ascending. So a key names
-    m distinct rows in 1..n, equal multisets get equal keys, and a key is a
+    distinct rows in 1..n, equal multisets get equal keys, and a key is a
     valid request that is its own key; when no two rows are equal, the key
-    of a request is the sorted request. `_learned` maps a learning
-    multiset's sorted class ids to the pair (predictor a, predictor b). A
-    key's multiset is evaluated as the sum of phi over its m rotations,
-    divided once by m; phi fits through `_learned`, so keys that share a
-    learning multiset share its fit. When both learners have
-    loo_errors_batch, phi0_keys evaluates the new keys of each call in
-    batches before returning them (see _prefill), as the difference of their
-    leave-one-out counts divided by m: the same integer divided by m, so the
-    same float.
-
-    `_totals` is the second memo: it maps the key of a size-g learning
-    multiset, built as for phi0, to its complement total, an int. When both
-    learners have holdout_errors_batch, learning_keys evaluates the new keys
-    of each call in batches before returning them, from which rows each
-    learner, fitted on the key's rows, misclassifies: the same integer
-    phi_complement_total's fit and predict give.
+    of a request is the sorted request. The evaluator is itself a dict, the
+    phi0 memo: it maps the key of a size-m multiset to its symmetrized
+    value. `_totals` maps the key of a size-g learning multiset to its
+    complement total, an int, and `_learned` maps it to the pair
+    (predictor a, predictor b). A key's multiset is evaluated as the sum of
+    phi over its m rotations, divided once by m; phi fits through
+    `_learned`, so keys that share a learning multiset share its fit. When
+    both learners have loo_errors_batch, phi0_keys evaluates the new keys of
+    each call in batches before returning them (see _prefill), as the
+    difference of their leave-one-out counts divided by m: the same integer
+    divided by m, so the same float. When both learners have
+    holdout_errors_batch, learning_keys does the same for `_totals`, from
+    which rows each learner, fitted on the key's rows, misclassifies: the
+    same integer phi_complement_total's fit and predict give.
 
     phi0 is the dict lookup itself, so a request equal to a stored key is
     answered in C. Every other request (a first request, an unordered
@@ -152,29 +151,9 @@ class KernelEvaluator(dict):
     nothing.
 
     Each memo holds at most MEMO_SIZE entries and is emptied when an insert
-    finds it full, so a run at any budget keeps bounded memory. Attributes
-    live in slots, which a dict subclass reads faster than an instance dict;
-    the `__dict__` slot still lets a caller wrap a method on one instance.
-    Evaluation is single-threaded.
+    finds it full, so a run at any budget keeps bounded memory. Evaluation
+    is single-threaded.
     """
-
-    __slots__ = (
-        "kernel",
-        "data",
-        "phi0_evaluations",
-        "pair_fits",
-        "_m",
-        "_class_of",
-        "_members",
-        "_rows",
-        "_learned",
-        "_totals",
-        "_key_tables",
-        "_batch",
-        "_holdout",
-        "__dict__",
-        "__weakref__",
-    )
 
     def __init__(self, kernel: ComparisonKernel, data: Dataset):
         if kernel.m > data.n:
@@ -221,13 +200,7 @@ class KernelEvaluator(dict):
         are answered by the lookup.
         """
         m = self._m
-        try:
-            ids = sorted(map(self._class_of, request))
-        except KeyError as exc:
-            raise IndexError(f"index {exc.args[0]!r} outside 1..{self.data.n}") from None
-        if len(ids) != m or len(set(request)) != m:
-            raise ValueError(f"need {m} distinct indices, got {tuple(request)}")
-        key = self._canonical(ids)
+        key = self._key(request, m)
         result = self.get(key)
         if result is None:
             # The sum over the m rotations of phi is learner a's LOO error
@@ -239,9 +212,19 @@ class KernelEvaluator(dict):
             _remember(self, request, result)
         return result
 
-    def _canonical(self, ids: Sequence[int]) -> tuple[int, ...]:
-        """The memo key of the multiset whose sorted class ids are ids."""
-        if len(set(ids)) == len(ids):
+    def _key(self, indices: Sequence[int], width: int) -> tuple[int, ...]:
+        """The memo key of the multiset of rows at indices.
+
+        IndexError for an index outside 1..n, ValueError unless indices
+        names width distinct rows.
+        """
+        try:
+            ids = sorted(map(self._class_of, indices))
+        except KeyError as exc:
+            raise IndexError(f"index {exc.args[0]!r} outside 1..{self.data.n}") from None
+        if len(ids) != width or len(set(indices)) != width:
+            raise ValueError(f"need {width} distinct indices, got {tuple(indices)}")
+        if len(set(ids)) == width:
             return tuple(ids)
         # A class that appears r times stands for its first r rows: the id
         # k at sorted position j takes row j - ids.index(k) of class k.
@@ -328,8 +311,9 @@ class KernelEvaluator(dict):
         _BATCH_ELEMENTS // (per_key * d) keys, d the number of features or
         1 if there are none. Every key evaluate does not answer is left to
         the memo's own miss path, so a key that raises raises when it is
-        requested, as it would without the batch. The memo is emptied first
-        if the new keys would not fit in it.
+        requested, as it would without the batch. If the new keys would not
+        fit in the memo, it is emptied first and every distinct key of the
+        call goes to the batch.
         """
         import numpy as np
 
@@ -337,7 +321,10 @@ class KernelEvaluator(dict):
         if not missing:
             return
         if len(memo) + len(missing) > MEMO_SIZE:
+            # The call's keys that the memo held go with it, so they join
+            # the batch instead of each being refitted when requested.
             memo.clear()
+            missing = list(dict.fromkeys(keys))
         subsets = np.sort(self._key_tables[1][np.array(missing)], axis=1)
         step = max(1, _BATCH_ELEMENTS // (per_key * max(self._key_tables[3].shape[1], 1)))
         for start in range(0, len(missing), step):
@@ -370,15 +357,8 @@ class KernelEvaluator(dict):
         totals = phi.sum(axis=1) - np.take_along_axis(phi, subsets, axis=1).sum(axis=1)
         return totals, answered_a & answered_b
 
-    def _key(self, indices: Iterable[int]) -> tuple[int, ...]:
-        """Sorted class ids of the rows at indices; IndexError outside 1..n."""
-        try:
-            return tuple(sorted(map(self._class_of, indices)))
-        except KeyError as exc:
-            raise IndexError(f"index {exc.args[0]!r} outside 1..{self.data.n}") from None
-
     def _learned_entry(self, key: tuple[int, ...], learn_indices: Sequence[int]) -> tuple:
-        """The predictor pair fitted on the rows at learn_indices, whose class ids are key.
+        """The predictor pair fitted on the rows at learn_indices, whose memo key is key.
 
         Both learners are fitted on a miss in `_learned`.
         """
@@ -405,7 +385,8 @@ class KernelEvaluator(dict):
         if test_index in learn_indices:
             raise ValueError(f"test index {test_index} also appears in the learning part")
         obs = self.data.observation(test_index)
-        pred_a, pred_b = self._learned_entry(self._key(learn_indices), learn_indices)
+        key = self._key(learn_indices, self.kernel.g)
+        pred_a, pred_b = self._learned_entry(key, learn_indices)
         return misclassification_loss(pred_a.predict(obs.x), obs.y) - misclassification_loss(
             pred_b.predict(obs.x), obs.y
         )
@@ -428,11 +409,10 @@ class KernelEvaluator(dict):
         except (KeyError, TypeError):
             pass
         self._check_learning(learn_indices)
-        ids = self._key(learn_indices)
-        key = self._canonical(ids)
+        key = self._key(learn_indices, self.kernel.g)
         total = self._totals.get(key)
         if total is None:
-            pred_a, pred_b = self._learned_entry(ids, learn_indices)
+            pred_a, pred_b = self._learned_entry(key, learn_indices)
             xs = [obs.x for obs in self.data.observations]
             out_a = _predict_rows(pred_a, xs)
             out_b = _predict_rows(pred_b, xs)

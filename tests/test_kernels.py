@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ucompare import kernels
+from ucompare import estimators, kernels
 from ucompare.dataset import Dataset
 from ucompare.estimators import (
     COMPLETE,
@@ -226,6 +226,15 @@ class TestKernelEvaluator:
         assert len(fitted) == 4
         ev.phi((2, 5), 1)  # {B,B} is new
         assert len(fitted) == len(set(fitted)) == 5
+
+    def test_fits_and_totals_share_one_key(self):
+        # Rows 6, 7 and 8 repeat rows 1, 2 and 4, so a learning multiset
+        # has several requests; the fit and the total of each are stored
+        # under the same key.
+        kernel = ComparisonKernel(Refitting(knn_learner(1)), Refitting(stump_learner()), g=2)
+        ev = KernelEvaluator(kernel, eight_rows_of_five_atoms())
+        estimate_delta(ev, EstimatorConfig(draws=200, seed=3, mode=INCOMPLETE))
+        assert ev._totals and set(ev._learned) == set(ev._totals)
 
     def test_bad_indices_raise_index_error_after_caching(self):
         data = Dataset.from_arrays(
@@ -580,6 +589,27 @@ class TestMemoBound:
         assert len(fitted) == 4
         ev.phi((6, 7), 3)
         assert len(fitted) == 5
+
+    def test_emptying_a_full_memo_refits_nothing(self, monkeypatch):
+        # Chunks of 16 draws fill a memo of 64 entries within a few calls.
+        # When a call's new keys do not fit, the memo is emptied, and the
+        # call's keys it held go to the batch with the new ones instead of
+        # each being refitted when requested.
+        rng = np.random.default_rng(5)
+        atoms, labels = rng.normal(size=(12, 2)), rng.integers(0, 2, size=12)
+        rows = rng.integers(0, 12, size=24)
+        data = Dataset.from_arrays([tuple(atoms[r]) for r in rows], labels[rows].tolist())
+        kernel = ComparisonKernel(knn_learner(1), stump_learner(), g=2)
+        config = EstimatorConfig(draws=300, seed=3, mode=INCOMPLETE)
+
+        def estimate():
+            ev = KernelEvaluator(kernel, data)
+            return (estimate_delta(ev, config), estimate_variance(ev, config)), ev.pair_fits
+
+        expected, _ = estimate()
+        monkeypatch.setattr(kernels, "MEMO_SIZE", 64)
+        monkeypatch.setattr(estimators, "_CHUNK_DRAWS", 16)
+        assert estimate() == (expected, 0)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_evaluator_freed_by_reference_counting(self):
