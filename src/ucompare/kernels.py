@@ -96,14 +96,6 @@ def _both(kernel: ComparisonKernel, method: str):
     return None if method_a is None or method_b is None else (method_a, method_b)
 
 
-def _predict_rows(predictor, xs: list) -> list:
-    """Labels of the rows xs; a predictor without predict_batch predicts row by row."""
-    predict_batch = getattr(predictor, "predict_batch", None)
-    if predict_batch is None:
-        return [predictor.predict(x) for x in xs]
-    return predict_batch(xs)
-
-
 class KernelEvaluator(dict):
     """Kernel evaluation against one dataset, with bounded memoization.
 
@@ -119,16 +111,19 @@ class KernelEvaluator(dict):
     phi0 memo: it maps the key of a size-m multiset to its symmetrized
     value. `_totals` maps the key of a size-g learning multiset to its
     complement total, an int, and `_learned` maps it to the pair
-    (predictor a, predictor b). A key's multiset is evaluated as the sum of
-    phi over its m rotations, divided once by m; phi fits through
-    `_learned`, so keys that share a learning multiset share its fit. When
-    both learners have loo_errors_batch, phi0_keys evaluates the new keys of
-    each call in batches before returning them (see _prefill), as the
-    difference of their leave-one-out counts divided by m: the same integer
-    divided by m, so the same float. When both learners have
-    holdout_errors_batch, learning_keys does the same for `_totals`, from
-    which rows each learner, fitted on the key's rows, misclassifies: the
-    same integer phi_complement_total's fit and predict give.
+    (predictor a, predictor b), both fitted on the key's rows. phi and
+    phi_complement_total score rows through one path, _scores: it fits
+    through `_learned`, so requests that share a learning multiset share its
+    fit, and calls only each predictor's predict, one row at a time. A
+    key's multiset is evaluated as the sum of phi over its m rotations,
+    divided once by m. When both learners have loo_errors_batch, phi0_keys
+    evaluates the new keys of each call in batches before returning them
+    (see _prefill), as the difference of their leave-one-out counts divided
+    by m: the same integer divided by m, so the same float. When both
+    learners have holdout_errors_batch, learning_keys does the same for
+    `_totals`, from which rows each learner, fitted on the key's rows,
+    misclassifies: the same integer phi_complement_total's fit and predict
+    give.
 
     phi0 is the dict lookup itself, so a request equal to a stored key is
     answered in C. Every other request (a first request, an unordered
@@ -146,9 +141,8 @@ class KernelEvaluator(dict):
 
     Two plain int counters record the work done: phi0_evaluations counts
     the symmetrized values computed and pair_fits the fits of the learner
-    pair, one per learning multiset that `_learned` did not hold: the fits
-    for phi_complement_total and for phi. A key a batch answers fits
-    nothing.
+    pair, one per learning multiset that `_learned` did not hold. A key a
+    batch answers fits nothing.
 
     Each memo holds at most MEMO_SIZE entries and is emptied when an insert
     finds it full, so a run at any budget keeps bounded memory. Evaluation
@@ -357,39 +351,45 @@ class KernelEvaluator(dict):
         totals = phi.sum(axis=1) - np.take_along_axis(phi, subsets, axis=1).sum(axis=1)
         return totals, answered_a & answered_b
 
-    def _learned_entry(self, key: tuple[int, ...], learn_indices: Sequence[int]) -> tuple:
-        """The predictor pair fitted on the rows at learn_indices, whose memo key is key.
-
-        Both learners are fitted on a miss in `_learned`.
-        """
-        entry = self._learned.get(key)
-        if entry is None:
-            learn_obs = tuple(map(self._rows.__getitem__, learn_indices))
-            self.pair_fits += 1
-            entry = _remember(
-                self._learned,
-                key,
-                (self.kernel.learner_a.fit(learn_obs), self.kernel.learner_b.fit(learn_obs)),
-            )
-        return entry
-
-    def _check_learning(self, learn_indices: Sequence[int]) -> None:
+    def _learning_key(self, learn_indices: Sequence[int]) -> tuple[int, ...]:
+        """The memo key of a learning set of g rows; _key checks the indices."""
         g = self.kernel.g
         if len(learn_indices) != g:
             raise ValueError(f"expected {g} learning indices, got {len(learn_indices)}")
-        if len(set(learn_indices)) != g:
-            raise ValueError(f"learning indices must be distinct, got {tuple(learn_indices)}")
+        return self._key(learn_indices, g)
+
+    def _scores(self, key: tuple[int, ...], rows: Sequence[int]) -> list[int]:
+        """phi at each of rows, with both learners fitted on the rows of key.
+
+        Both learners are fitted on a miss in `_learned`, and each predicts
+        every row through predict, on the row's `Observation.x`.
+        """
+        predictors = self._learned.get(key)
+        if predictors is None:
+            learning = tuple(map(self._rows.__getitem__, key))
+            self.pair_fits += 1
+            predictors = _remember(
+                self._learned,
+                key,
+                (self.kernel.learner_a.fit(learning), self.kernel.learner_b.fit(learning)),
+            )
+        # A loop, not a comprehension: phi scores one row, and on Python
+        # 3.11 a comprehension's own frame costs phi about 15%.
+        pred_a, pred_b = predictors
+        scores = []
+        for obs in map(self._rows.__getitem__, rows):
+            scores.append(
+                misclassification_loss(pred_a.predict(obs.x), obs.y)
+                - misclassification_loss(pred_b.predict(obs.x), obs.y)
+            )
+        return scores
 
     def phi(self, learn_indices: Sequence[int], test_index: int) -> int:
-        self._check_learning(learn_indices)
+        key = self._learning_key(learn_indices)
         if test_index in learn_indices:
             raise ValueError(f"test index {test_index} also appears in the learning part")
-        obs = self.data.observation(test_index)
-        key = self._key(learn_indices, self.kernel.g)
-        pred_a, pred_b = self._learned_entry(key, learn_indices)
-        return misclassification_loss(pred_a.predict(obs.x), obs.y) - misclassification_loss(
-            pred_b.predict(obs.x), obs.y
-        )
+        self.data.observation(test_index)  # IndexError outside 1..n
+        return self._scores(key, (test_index,))[0]
 
     def phi_complement_total(self, learn_indices: Sequence[int]) -> int:
         """Sum of phi over every row outside learn_indices, an int.
@@ -399,29 +399,20 @@ class KernelEvaluator(dict):
         is memoized in `_totals` under its key. A request equal to a stored
         key, such as a key from learning_keys, is answered by the lookup.
         Any other request is checked, and unless `_totals` holds its key,
-        both learners are fitted through `_learned` and each predictor
-        labels every row in one predict_batch call, on every row's
-        `Observation.x`, the tuple phi passes to predict; a predictor
-        without predict_batch predicts row by row.
+        phi is scored at every row and the key's rows are subtracted. The
+        learning rows are scored too, so a request raises wherever a
+        prediction would raise, as holdout_errors_batch's answered mask
+        assumes.
         """
         try:
             return self._totals[learn_indices]
         except (KeyError, TypeError):
             pass
-        self._check_learning(learn_indices)
-        key = self._key(learn_indices, self.kernel.g)
+        key = self._learning_key(learn_indices)
         total = self._totals.get(key)
         if total is None:
-            pred_a, pred_b = self._learned_entry(key, learn_indices)
-            xs = [obs.x for obs in self.data.observations]
-            out_a = _predict_rows(pred_a, xs)
-            out_b = _predict_rows(pred_b, xs)
-            rows = [
-                misclassification_loss(a, obs.y) - misclassification_loss(b, obs.y)
-                for a, b, obs in zip(out_a, out_b, self.data.observations)
-            ]
-            total = sum(rows) - sum(rows[i - 1] for i in learn_indices)
-            _remember(self._totals, key, total)
+            scores = self._scores(key, range(1, self.data.n + 1))
+            total = _remember(self._totals, key, sum(scores) - sum(scores[i - 1] for i in key))
         return total
 
     def product(self, first: tuple[int, ...], second: tuple[int, ...] | None = None) -> float:

@@ -109,7 +109,11 @@ class Predictor:
         raise NotImplementedError
 
     def predict_batch(self, xs: Sequence[Sequence[float]]) -> list[int]:
-        """Labels of the rows xs, each the tuple `Observation.x` that predict receives."""
+        """Labels of the rows xs, each the tuple `Observation.x` that predict receives.
+
+        The kernels never call it; it stays only because the benchmark's
+        traced predictor (perfbench/trace_run.py) wraps it.
+        """
         return [self.predict(x) for x in xs]
 
 

@@ -96,7 +96,7 @@ class Refitting:
     """A learner's fit alone, without loo_errors_batch or holdout_errors_batch.
 
     The kernels fit and predict it wherever the batches would answer: for
-    phi0 through phi, and for phi_complement_total through predict_batch.
+    phi0 through phi, and for phi_complement_total through predict.
     """
 
     def __init__(self, inner):

@@ -31,26 +31,15 @@ from ucompare.oracle import phi0_value, phi_value
 from support import Refitting
 
 
-class BatchCountingLearner(Learner):
-    """Wraps a learner and logs (name, learning features) per predict_batch."""
+class FitCountingLearner(Learner):
+    """Wraps a learner and logs (name, learning features) per fit."""
 
     def __init__(self, name, inner, log):
         self.name, self.inner, self.log = name, inner, log
 
     def fit(self, learning_set):
-        predictor = self.inner.fit(learning_set)
-        entry = (self.name, tuple(sorted(obs.x for obs in learning_set)))
-        log = self.log
-
-        class Logged(Predictor):
-            def predict(self, x):
-                return predictor.predict(x)
-
-            def predict_batch(self, xs):
-                log.append(entry)
-                return predictor.predict_batch(xs)
-
-        return Logged()
+        self.log.append((self.name, tuple(sorted(obs.x for obs in learning_set))))
+        return self.inner.fit(learning_set)
 
 
 def observations_at(data: Dataset, indices) -> tuple:
@@ -354,10 +343,10 @@ class TestKernelEvaluator:
             [(0.0,), (1.0,), (2.0,), (0.0,), (1.0,), (3.0,), (0.0,)],
             [0, 1, 1, 0, 1, 0, 0],
         )
-        batches = []
+        fits = []
         kernel = ComparisonKernel(
-            BatchCountingLearner("a", knn_learner(1), batches),
-            BatchCountingLearner("b", stump_learner(), batches),
+            FitCountingLearner("a", knn_learner(1), fits),
+            FitCountingLearner("b", stump_learner(), fits),
             g=2,
         )
         ev = KernelEvaluator(kernel, data)
@@ -369,7 +358,7 @@ class TestKernelEvaluator:
                 held_out = [t for t in range(1, data.n + 1) if t not in learn]
                 assert ev.phi_complement_total(learn) == sum(ev.phi(learn, t) for t in held_out)
                 assert isinstance(ev.phi_complement_total(learn), int)
-        assert sorted(batches) == sorted(
+        assert sorted(fits) == sorted(
             (name, multiset)
             for name in "ab"
             for multiset in [((0.0,), (1.0,)), ((0.0,), (0.0,)), ((2.0,), (3.0,))]
@@ -422,6 +411,37 @@ class TestKernelEvaluator:
             return estimate_delta(KernelEvaluator(kernel, data), config)
 
         assert delta(DuckLearner()) == delta(stump_learner()) != 0.0
+
+    def test_predict_batch_is_never_called(self):
+        # A learner without batches is fitted and predicted row by row
+        # through predict, in the point estimate as in phi.
+        class NoBatchLearner:
+            def fit(self, learning_set):
+                inner = stump_learner().fit(learning_set)
+
+                class NoBatch(Predictor):
+                    def predict(self, x):
+                        return inner.predict(x)
+
+                    def predict_batch(self, xs):
+                        raise AssertionError("predict_batch called")
+
+                return NoBatch()
+
+        data = Dataset.from_arrays(
+            [(0.0, 1.0), (1.0, 0.0), (2.0, 2.0), (3.0, 1.5), (4.0, 0.5), (5.0, 3.0)],
+            [0, 1, 1, 0, 1, 0],
+        )
+        config = EstimatorConfig(draws=20, seed=3, mode=INCOMPLETE)
+        evaluators = [
+            KernelEvaluator(ComparisonKernel(learner, knn_learner(1), g=2), data)
+            for learner in (NoBatchLearner(), Refitting(stump_learner()))
+        ]
+        assert estimate_delta(evaluators[0], config) == estimate_delta(evaluators[1], config)
+        for learn in itertools.permutations(range(1, data.n + 1), 2):
+            assert evaluators[0].phi_complement_total(learn) == (
+                evaluators[1].phi_complement_total(learn)
+            )
 
     def test_complement_total_checks_learning_size(self):
         ev = KernelEvaluator(knn_vs_const(1), four_rows())
