@@ -50,12 +50,13 @@ if TYPE_CHECKING:
 # a 2-core Xeon host (about 5.0 million lookups per second).
 MEMO_SIZE = 2**15
 
-# Keys per batch call are capped so that the size of the largest array a
-# built-in learner's batch builds stays under this: keys * m * m * d for
-# loo_errors_batch, about 300 keys at m = 6, d = 3, and keys * n * g * d
-# for holdout_errors_batch, about 36 keys at n = 60, g = 5, d = 3. It bounds
-# the memory a call takes, and loo_errors_batch calls of 1,024 keys at
-# m = 6, d = 3 took 30-40% longer per key than calls of 300.
+# Keys per batch call are capped so that keys times the array elements per
+# key that the caller states stays under this: m * m * d from phi0_keys, the
+# stump's leave-one-out columns, about 300 keys at m = 6, d = 3; n * g from
+# learning_keys, kNN's hold-out distances, 109 keys at n = 60, g = 5 and 8 at
+# n = 200, g = 20. It bounds the memory a call takes, and loo_errors_batch
+# calls of 1,024 keys at m = 6, d = 3 took 30-40% longer per key than calls
+# of 300.
 _BATCH_ELEMENTS = 2**15
 
 
@@ -237,7 +238,8 @@ class KernelEvaluator(dict):
         """
         keys = self._keys(windows, self._m)
         if self._batch is not None:
-            self._prefill(self, keys, self._m * self._m, self._loo_values)
+            d = max(self._key_tables[3].shape[1], 1)
+            self._prefill(self, keys, self._m * self._m * d, self._loo_values)
         return keys
 
     def learning_keys(self, draws: np.ndarray) -> list[tuple[int, ...]]:
@@ -302,12 +304,12 @@ class KernelEvaluator(dict):
         evaluate takes a (B, k) array of the keys' places in the key tables,
         ascending, so each lists its rows in canonical order, and returns
         the arrays (values, answered). A batch holds at most
-        _BATCH_ELEMENTS // (per_key * d) keys, d the number of features or
-        1 if there are none. Every key evaluate does not answer is left to
-        the memo's own miss path, so a key that raises raises when it is
-        requested, as it would without the batch. If the new keys would not
-        fit in the memo, it is emptied first and every distinct key of the
-        call goes to the batch.
+        _BATCH_ELEMENTS // per_key keys, per_key being the array elements
+        the caller states one key takes. Every key evaluate does not answer
+        is left to the memo's own miss path, so a key that raises raises
+        when it is requested, as it would without the batch. If the new keys
+        would not fit in the memo, it is emptied first and every distinct
+        key of the call goes to the batch.
         """
         import numpy as np
 
@@ -320,7 +322,7 @@ class KernelEvaluator(dict):
             memo.clear()
             missing = list(dict.fromkeys(keys))
         subsets = np.sort(self._key_tables[1][np.array(missing)], axis=1)
-        step = max(1, _BATCH_ELEMENTS // (per_key * max(self._key_tables[3].shape[1], 1)))
+        step = max(1, _BATCH_ELEMENTS // per_key)
         for start in range(0, len(missing), step):
             values, answered = evaluate(subsets[start : start + step])
             for key, value, ok in zip(

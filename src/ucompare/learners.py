@@ -19,6 +19,11 @@ raise, for the centroid also one whose class sums its exact integers do
 not cover) is evaluated by fitting and predicting when it is requested, so
 it raises there as it would without the batch. The stump's batches answer
 every subset, including those whose split midpoints round up or overflow.
+A learner's two batches share one numpy body that fits many learning sets
+and predicts at each fit's query rows (_votes, _nearer_mean,
+_stump_predictions); a batch only builds the fits' inputs. A leave-one-out
+fit learns on a subset without one row and predicts that row; a hold-out fit
+learns on the whole subset and predicts every row of the dataset.
 
 The centroid's fit takes each class mean as fsum / count, and fsum is
 correctly rounded. Both its batches sum each column's values exactly as
@@ -195,6 +200,20 @@ class _KnnPredictor(Predictor):
         return _majority(sum(self.labels[i] for i in order[: self.k]), self.k)
 
 
+def _votes(d2, labels, k):
+    """Labels that B kNN fits predict: predicted[b, q] for query q of fit b.
+
+    d2 (B, Q, P) holds the squared distances from each fit's queries to its
+    P points and labels (B, P) the points' labels. The stable sort reads
+    equal distances in canonical order, as predict's does on the fitted
+    points, and a tied vote of the k nearest predicts 0.
+    """
+    import numpy as np
+
+    nearest = np.argsort(d2, axis=2, kind="stable")[..., :k]
+    return 2 * np.take_along_axis(labels[:, None], nearest, axis=2).sum(axis=2) > k
+
+
 class _KnnLearner(Learner):
     def __init__(self, k: int):
         if k < 1:
@@ -213,31 +232,21 @@ class _KnnLearner(Learner):
 
         points, labels = x[subsets], y[subsets]
         m = subsets.shape[1]
-        k = min(self.k, m - 1)
         # d2[b, i, j]: the squared distance between rows i and j of subset b.
         d2 = _distance_table(points, points)
         answered = ~np.isinf(d2).any(axis=(1, 2))
-        # A held-out row is no neighbour of itself. The stable sort reads
-        # the others by distance, equal distances in canonical order, as
-        # predict's does on the fitted points.
+        # A held-out row is no neighbour of itself.
         d2[:, range(m), range(m)] = np.inf
-        nearest = np.argsort(d2, axis=2, kind="stable")[..., :k]
-        ones = np.take_along_axis(labels[:, None], nearest, axis=2).sum(axis=2)
-        return ((2 * ones > k) != labels).sum(axis=1), answered
+        return (_votes(d2, labels, min(self.k, m - 1)) != labels).sum(axis=1), answered
 
     def holdout_errors_batch(self, x, y, subsets):
         import numpy as np
 
-        k = min(self.k, subsets.shape[1])
         # d2[b, r, j]: the squared distance from row r of x to point j of
-        # subset b.
+        # subset b; predict raises wherever some distance is infinite.
         d2 = _distance_table(x[None], x[subsets])
-        # predict raises wherever some distance is infinite; the stable sort
-        # reads equal distances in canonical order, as predict's does.
         answered = ~np.isinf(d2).any(axis=(1, 2))
-        nearest = np.argsort(d2, axis=2, kind="stable")[..., :k]
-        ones = np.take_along_axis(y[subsets][:, None], nearest, axis=2).sum(axis=2)
-        return (2 * ones > k) != y, answered
+        return _votes(d2, y[subsets], min(self.k, subsets.shape[1])) != y, answered
 
 
 def knn_learner(k: int) -> Learner:
@@ -326,6 +335,27 @@ def _exact_sums(points, selection):
         return np.ldexp(sums[0] * 2.0**_LIMB + sums[1], grid - _LIMB), covered
 
 
+def _nearer_mean(sums, sizes, queries):
+    """Labels that centroid fits predict, and where they predict without raising.
+
+    sums (..., 2, d) and sizes (..., 2) are each fit's class sums and sizes,
+    and queries (..., Q, d) its queries; the leading dimensions broadcast.
+    A fit on both classes predicts the nearer mean, an exact tie going to 0,
+    and raises OverflowError where some squared distance is infinite; a fit
+    on one class predicts that class. Returns (predicted, finite), the bool
+    arrays (..., Q) and (...).
+    """
+    import numpy as np
+
+    both = sizes.all(axis=-1)
+    with np.errstate(all="ignore"):
+        # The means as _column_mean divides them.
+        means = sums / np.maximum(sizes, 1)[..., None]
+        d2 = _distance_table(queries, means)
+    finite = ~(both & np.isinf(d2).any(axis=(-2, -1)))
+    return np.where(both[..., None], d2[..., 1] < d2[..., 0], sizes[..., 1:] > 0), finite
+
+
 class _CentroidLearner(Learner):
     """The nearest-class-centroid rule; see centroid_learner."""
 
@@ -364,29 +394,13 @@ class _CentroidLearner(Learner):
             [classes, classes[rows, labels] - np.eye(m, dtype=np.int64)], axis=1
         )
         sums, answered = _exact_sums(points, selection)
-        sizes = classes.sum(axis=2)
-        own = sizes[rows, labels]
-        with np.errstate(all="ignore"):
-            # The means as _column_mean divides them. Held-out row i's fit
-            # on the others has its own class's mean without it and the
-            # other class's whole mean.
-            means = sums / np.maximum(np.concatenate([sizes, own - 1], axis=1), 1)[..., None]
-            is_one = labels[..., None] == 1
-            centres = np.stack(
-                [
-                    np.where(is_one, means[:, None, 0], means[:, 2:]),
-                    np.where(is_one, means[:, 2:], means[:, None, 1]),
-                ],
-                axis=2,
-            )
-            d2 = _distance_table(points[:, :, None], centres)[:, :, 0]
-        # Rows whose fit sees both classes predict the nearer mean, an exact
-        # tie going to 0; a fit that sees one class predicts it, which is
-        # wrong only for a row alone in its class.
-        both = (own > 1) & (own < m)
-        answered &= ~(both & np.isinf(d2).any(axis=2)).any(axis=1)
-        wrong = np.where(both, (d2[..., 1] < d2[..., 0]) != labels, own == 1)
-        return wrong.sum(axis=1), answered
+        # Held-out row i's fit has its own class without it and the other
+        # class whole: sums and sizes (B, m, 2, d) and (B, m, 2).
+        own_class = labels[..., None] == np.arange(2)
+        sizes = classes.sum(axis=2)[:, None] - own_class
+        sums = np.where(own_class[..., None], sums[:, 2:, None], sums[:, None, :2])
+        predicted, finite = _nearer_mean(sums, sizes, points[:, :, None])
+        return (predicted[..., 0] != labels).sum(axis=1), answered & finite.all(axis=1)
 
     def holdout_errors_batch(self, x, y, subsets):
         """Learner.holdout_errors_batch in one numpy pass over the (B, N, 2, d) differences.
@@ -402,16 +416,8 @@ class _CentroidLearner(Learner):
         labels = y[subsets]
         classes = (labels[:, None] == np.arange(2)[:, None]).astype(np.int64)
         sums, answered = _exact_sums(x[subsets], classes)
-        sizes = classes.sum(axis=2)
-        both = sizes.all(axis=1)
-        with np.errstate(all="ignore"):
-            means = sums / np.maximum(sizes, 1)[..., None]
-            d2 = _distance_table(x[None], means)
-        answered &= ~(both & np.isinf(d2).any(axis=(1, 2)))
-        # A fit on both classes predicts the nearer mean, an exact tie going
-        # to 0; a fit on one class predicts that class.
-        predicted = np.where(both[:, None], d2[..., 1] < d2[..., 0], sizes[:, 1:] > 0)
-        return predicted != y, answered
+        predicted, finite = _nearer_mean(sums, classes.sum(axis=2), x[None])
+        return predicted != y, answered & finite
 
 
 def centroid_learner() -> Learner:
@@ -494,21 +500,26 @@ def _best_stump(
     )
 
 
-def _stump_candidates(values, labels, ones):
-    """_best_stump's candidate splits, for many sorted learning columns at once.
+def _stump_predictions(values, labels, ones, queries):
+    """Labels that B stump fits predict at their queries, as _best_stump's fits predict.
 
-    values (B, ..., d, size) holds columns of size learning rows, each
-    sorted ascending, labels the rows' labels in the same order, and ones
-    (B, ...) the number of rows labelled 1. Candidate k of a column splits
-    at the midpoint of rows k and k + 1, and puts the rows x <= midpoint
-    left: its first k + 1 rows wherever the midpoint lies in [lo, hi).
-    Returns (threshold, n_le, ones_le, errors): each candidate's midpoint,
-    rows and label-1 rows on the left, and error count, size + 1 where the
-    two rows are equal and there is no split.
+    values (B, d, size) holds each fit's learning columns, each sorted
+    ascending, labels the rows' labels in the same order, ones (B,) the
+    number of rows labelled 1, and queries (B, Q, d) the rows each fit
+    predicts. Candidate k of a column splits at the midpoint of rows k and
+    k + 1, and puts the rows x <= midpoint left: its first k + 1 rows
+    wherever the midpoint lies in [lo, hi). The fit is the first candidate
+    with the fewest errors, in (feature, threshold) order; where there is
+    none, every feature being constant, the fit predicts the majority.
+    Returns a (B, Q) bool array.
     """
     import numpy as np
 
-    size = values.shape[-1]
+    count, d, size = values.shape
+    majority = (2 * ones > size)[:, None]
+    if size == 1 or not d:
+        # One learning row, or no feature: no split exists.
+        return np.broadcast_to(majority, (count, queries.shape[1]))
     lo, hi = values[..., :-1], values[..., 1:]
     with np.errstate(over="ignore"):
         threshold = (lo + hi) / 2.0
@@ -524,10 +535,21 @@ def _stump_candidates(values, labels, ones):
         left = values[at[:-1]] <= threshold[at][:, None]
         n_le[at] = left.sum(axis=1)
         ones_le[at] = (left * labels[at[:-1]]).sum(axis=1)
-    ones_gt = ones[..., None, None] - ones_le
-    # Each side predicts its majority, so it misclassifies its minority.
+    ones_gt = ones[:, None, None] - ones_le
+    # Each side predicts its majority, so it misclassifies its minority; a
+    # pair of equal rows is no split.
     errors = np.minimum(ones_le, n_le - ones_le) + np.minimum(ones_gt, size - n_le - ones_gt)
-    return threshold, n_le, ones_le, np.where(split, errors, size + 1)
+    errors = np.where(split, errors, size + 1).reshape(count, -1)
+    best = errors.argmin(axis=1)
+    rows = np.arange(count)
+    feature, position = np.divmod(best, size - 1)
+    fit = rows, feature, position
+    left, ones_left = n_le[fit], ones_le[fit]
+    goes_left = queries[rows, :, feature] <= threshold[fit][:, None]
+    predicted = np.where(
+        goes_left, (2 * ones_left > left)[:, None], (2 * (ones - ones_left) > size - left)[:, None]
+    )
+    return np.where(errors[rows, best][:, None] <= size, predicted, majority)
 
 
 class _StumpLearner(Learner):
@@ -543,72 +565,42 @@ class _StumpLearner(Learner):
     def loo_errors_batch(self, x, y, subsets):
         import numpy as np
 
-        labels = y[subsets]
+        points, labels = x[subsets], y[subsets]
         count, m = subsets.shape
-        size = m - 1
-        # ones[b, i]: label-1 rows that row i's held-out fit learns on.
-        ones = labels.sum(axis=1, keepdims=True) - labels
-        majority = 2 * ones > size
         d = x.shape[1]
-        if m == 2 or not d:
-            # One learning row, or no feature: no split exists, so every fit
-            # predicts the majority of its rows.
-            return (majority != labels).sum(axis=1), np.ones(count, dtype=bool)
-        points = x[subsets]
         columns = points.transpose(0, 2, 1)
         # Each subset's columns sorted once; held-out row i's learning column
-        # is its sorted column without row i: shape (count, m, d, size).
+        # is its sorted column without row i: (count * m, d, m - 1) fits.
         order = np.argsort(columns, axis=2, kind="stable")
         keep = order[:, None] != np.arange(m)[:, None, None]
         rows = np.arange(count)[:, None, None]
-        shape, learning = keep.shape, (count, m, d, size)
+        shape, learning = keep.shape, (count * m, d, m - 1)
         values = np.broadcast_to(columns[rows, np.arange(d)[:, None], order][:, None], shape)
-        values = values[keep].reshape(learning)
         sorted_labels = np.broadcast_to(labels[rows, order][:, None], shape)
-        sorted_labels = sorted_labels[keep].reshape(learning)
-        threshold, n_le, ones_le, errors = _stump_candidates(values, sorted_labels, ones)
-        errors = errors.reshape(count, m, -1)
-        # Each candidate's prediction for its held-out row; the first with
-        # the fewest errors, in (feature, threshold) order, is the fit.
-        ones_gt = ones[:, :, None, None] - ones_le
-        guess = np.where(
-            points[..., None] <= threshold, 2 * ones_le > n_le, 2 * ones_gt > size - n_le
+        # ones[b, i]: label-1 rows that row i's held-out fit learns on.
+        ones = labels.sum(axis=1, keepdims=True) - labels
+        predicted = _stump_predictions(
+            values[keep].reshape(learning),
+            sorted_labels[keep].reshape(learning),
+            ones.reshape(-1),
+            points.reshape(count * m, 1, d),
         )
-        best = errors.argmin(axis=2)[..., None]
-        chosen = np.take_along_axis(guess.reshape(count, m, -1), best, axis=2)[..., 0]
-        predicted = np.where(errors.min(axis=2) < m, chosen, majority)
-        return (predicted != labels).sum(axis=1), np.ones(count, dtype=bool)
+        return (predicted.reshape(count, m) != labels).sum(axis=1), np.ones(count, dtype=bool)
 
     def holdout_errors_batch(self, x, y, subsets):
         import numpy as np
 
         labels = y[subsets]
-        count, size = subsets.shape
-        total_ones = labels.sum(axis=1)
-        majority = (2 * total_ones > size)[:, None]
-        if size == 1 or not x.shape[1]:
-            # One learning row, or no feature: no split exists, so the fit
-            # predicts the majority of its rows.
-            return majority != y, np.ones(count, dtype=bool)
+        count = len(subsets)
         # Each subset's columns sorted once: (count, d, size).
         columns = x[subsets].transpose(0, 2, 1)
         order = np.argsort(columns, axis=2, kind="stable")
-        values = np.take_along_axis(columns, order, axis=2)
-        sorted_labels = labels[np.arange(count)[:, None, None], order]
-        threshold, n_le, ones_le, errors = _stump_candidates(values, sorted_labels, total_ones)
-        errors = errors.reshape(count, -1)
-        # The first candidate with the fewest errors, in (feature, threshold)
-        # order, is the fit; there is none where every feature is constant.
-        best = errors.argmin(axis=1)
-        rows = np.arange(count)
-        feature, position = np.divmod(best, size - 1)
-        left = n_le[rows, feature, position]
-        ones = ones_le[rows, feature, position]
-        label_le = 2 * ones > left
-        label_gt = 2 * (total_ones - ones) > size - left
-        goes_left = x[:, feature].T <= threshold[rows, feature, position][:, None]
-        predicted = np.where(goes_left, label_le[:, None], label_gt[:, None])
-        predicted = np.where(errors[rows, best][:, None] <= size, predicted, majority)
+        predicted = _stump_predictions(
+            np.take_along_axis(columns, order, axis=2),
+            labels[np.arange(count)[:, None, None], order],
+            labels.sum(axis=1),
+            np.broadcast_to(x, (count, *x.shape)),
+        )
         return predicted != y, np.ones(count, dtype=bool)
 
 

@@ -273,6 +273,18 @@ class TestCompareHappyPath:
         assert "--digits wins" in captured.err
         assert report["inputs"]["budgets"]["delta"] == 1000
 
+    @pytest.mark.parametrize("mode", [["--complete"], ["--iterations", "200"]])
+    @pytest.mark.parametrize("learners", [("knn:3", "stump"), ("centroid", "const:1")])
+    def test_label_only_rows(self, tmp_path, capsys, learners, mode):
+        # No feature column: every row has x = (), and each learner fits
+        # its majority or vote rule on the labels alone.
+        path = tmp_path / "labels.csv"
+        path.write_text("y\n" + "".join(f"{y}\n" for y in [0, 1, 1, 0, 1, 0, 0, 1, 1]))
+        argv = ["compare", "--data", str(path), "--learner-a", learners[0]]
+        rc = main(argv + ["--learner-b", learners[1], "--g", "3", *mode])
+        assert rc in (EXIT_OK, EXIT_DEGENERATE)
+        assert json.loads(capsys.readouterr().out)["inputs"]["n"] == 9
+
 
 # A fixed 12-row, two-feature sample; its reports are pinned byte for byte.
 GOLDEN_CSV = """x1,x2,y

@@ -364,7 +364,7 @@ class TestKernelEvaluator:
             for multiset in [((0.0,), (1.0,)), ((0.0,), (0.0,)), ((2.0,), (3.0,))]
         )
 
-    def test_complement_total_passes_predict_batch_the_rows_phi_passes(self):
+    def test_complement_total_passes_predict_the_rows_phi_passes(self):
         # The predictor looks each row up by value, so it fails on any row
         # that is not the hashable tuple Observation.x that phi passes.
         class MemorizingLearner(Learner):
@@ -777,3 +777,31 @@ class TestBatchPath:
         # lost are evaluated again when requested.
         monkeypatch.setattr(kernels, "MEMO_SIZE", 3)
         assert estimate()[:2] == expected[:2]
+
+    def test_learning_keys_size_holdout_batches_by_n_times_g(self):
+        # learning_keys states n * g array elements per key, the size of
+        # kNN's distance table, so each holdout_errors_batch call takes
+        # _BATCH_ELEMENTS // (n * g) keys, whatever the number of features.
+        n, g = 200, 20
+        rng = np.random.default_rng(3)
+        xs = rng.normal(size=(n, 5))
+        data = Dataset.from_arrays([tuple(map(float, x)) for x in xs], [int(x[0] > 0) for x in xs])
+        knn, sizes = knn_learner(3), []
+
+        class CountingKnn(Learner):
+            def fit(self, learning_set):
+                return knn.fit(learning_set)
+
+            def holdout_errors_batch(self, x, y, subsets):
+                sizes.append(len(subsets))
+                return knn.holdout_errors_batch(x, y, subsets)
+
+        ev = KernelEvaluator(ComparisonKernel(CountingKnn(), constant_learner(0), g=g), data)
+        step = kernels._BATCH_ELEMENTS // (n * g)
+        draws = np.array([rng.choice(n, g, replace=False) + 1 for _ in range(2 * step + 1)])
+        keys = ev.learning_keys(draws)
+        assert sizes == [step, step, 1]
+        # The batches answered every key, so reading the totals fits nothing.
+        for key in keys:
+            ev.phi_complement_total(key)
+        assert ev.pair_fits == 0

@@ -559,12 +559,12 @@ LOO_VALUES = st.one_of(
 
 @st.composite
 def loo_rows(draw):
-    """2 to 9 rows, some of which repeat a feature vector.
+    """2 to 9 rows of 0 to 3 features, some of which repeat a feature vector.
 
     Each row gets its own label, so one x often carries both labels;
     sometimes every label is the same, or one feature is constant.
     """
-    d = draw(st.integers(1, 3), label="d")
+    d = draw(st.integers(0, 3), label="d")
     m = draw(st.integers(2, 9), label="m")
     distinct = draw(st.integers(1, m), label="distinct")
     xs = draw(st.lists(st.tuples(*[LOO_VALUES] * d), min_size=distinct, max_size=distinct))
@@ -574,7 +574,7 @@ def loo_rows(draw):
     labels = [
         single if single is not None else draw(st.integers(0, 1), label="y") for _ in picks
     ]
-    if draw(st.booleans(), label="constant feature 0"):
+    if d and draw(st.booleans(), label="constant feature 0"):
         picks = [(picks[0][0], *x[1:]) for x in picks]
     return [Observation(x, y) for x, y in zip(picks, labels)]
 
